@@ -70,6 +70,8 @@ int
 main(int argc, char **argv)
 {
     return harness::benchMain("ablation_lock_discipline", argc, argv,
-                                 harness::BenchOptions::kEngine | harness::BenchOptions::kPlacement |
-            harness::BenchOptions::kJson | harness::BenchOptions::kMemprof, run);
+                              harness::BenchOptions::kPlacement |
+                                  harness::BenchOptions::kJson |
+                                  harness::BenchOptions::kMemprof,
+                              run);
 }

@@ -158,7 +158,9 @@ int
 main(int argc, char **argv)
 {
     return harness::benchMain("ablation_placement", argc, argv,
-                                 harness::BenchOptions::kEngine | harness::BenchOptions::kJson |
-            harness::BenchOptions::kScale | harness::BenchOptions::kCheck |
-            harness::BenchOptions::kMemprof, run);
+                              harness::BenchOptions::kJson |
+                                  harness::BenchOptions::kScale |
+                                  harness::BenchOptions::kCheck |
+                                  harness::BenchOptions::kMemprof,
+                              run);
 }

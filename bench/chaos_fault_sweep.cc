@@ -9,8 +9,8 @@
  * *control flow* (injected query aborts, retried with backoff) must never
  * perturb *correctness* — the protocol invariants (SWMR,
  * directory/cache agreement, write-buffer FIFO order, lock-table
- * consistency) hold at every checked state, at every fault rate, on both
- * engines. Any violation makes the bench exit nonzero.
+ * consistency) hold at every checked state, at every fault rate. Any
+ * violation makes the bench exit nonzero.
  */
 
 #include <iostream>

@@ -145,6 +145,8 @@ int
 main(int argc, char **argv)
 {
     return harness::benchMain("ext_update_queries", argc, argv,
-                                 harness::BenchOptions::kEngine | harness::BenchOptions::kPlacement |
-            harness::BenchOptions::kJson | harness::BenchOptions::kMemprof, run);
+                              harness::BenchOptions::kPlacement |
+                                  harness::BenchOptions::kJson |
+                                  harness::BenchOptions::kMemprof,
+                              run);
 }

@@ -114,6 +114,8 @@ int
 main(int argc, char **argv)
 {
     return harness::benchMain("fig10_cache_size_misses", argc, argv,
-                                 harness::BenchOptions::kEngine | harness::BenchOptions::kPlacement |
-            harness::BenchOptions::kJson | harness::BenchOptions::kMemprof, run);
+                              harness::BenchOptions::kPlacement |
+                                  harness::BenchOptions::kJson |
+                                  harness::BenchOptions::kMemprof,
+                              run);
 }

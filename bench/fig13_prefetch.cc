@@ -73,6 +73,8 @@ int
 main(int argc, char **argv)
 {
     return harness::benchMain("fig13_prefetch", argc, argv,
-                                 harness::BenchOptions::kEngine | harness::BenchOptions::kPlacement |
-            harness::BenchOptions::kJson | harness::BenchOptions::kMemprof, run);
+                              harness::BenchOptions::kPlacement |
+                                  harness::BenchOptions::kJson |
+                                  harness::BenchOptions::kMemprof,
+                              run);
 }

@@ -116,6 +116,8 @@ int
 main(int argc, char **argv)
 {
     return harness::benchMain("fig8_line_size_misses", argc, argv,
-                                 harness::BenchOptions::kEngine | harness::BenchOptions::kPlacement |
-            harness::BenchOptions::kJson | harness::BenchOptions::kMemprof, run);
+                              harness::BenchOptions::kPlacement |
+                                  harness::BenchOptions::kJson |
+                                  harness::BenchOptions::kMemprof,
+                              run);
 }

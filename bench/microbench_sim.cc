@@ -39,7 +39,7 @@ BM_CacheHit(benchmark::State &state)
         a = (a + 64) & (64 * 1024 - 1);
     }
 }
-BENCHMARK(BM_CacheHit);
+BENCHMARK(BM_CacheHit)->UseRealTime();
 
 void
 BM_CacheMissFill(benchmark::State &state)
@@ -54,7 +54,7 @@ BM_CacheMissFill(benchmark::State &state)
         a += 32; // stream: always misses
     }
 }
-BENCHMARK(BM_CacheMissFill);
+BENCHMARK(BM_CacheMissFill)->UseRealTime();
 
 void
 BM_DirectoryTransaction(benchmark::State &state)
@@ -72,7 +72,7 @@ BM_DirectoryTransaction(benchmark::State &state)
         a += 64;
     }
 }
-BENCHMARK(BM_DirectoryTransaction);
+BENCHMARK(BM_DirectoryTransaction)->UseRealTime();
 
 /** The historical hardwired home rule: per-access div/mod chain. */
 void
@@ -89,7 +89,7 @@ BM_HomeOfLegacy(benchmark::State &state)
         a = 0x1000'0000 + ((a + 64) & (64 * 1024 * 1024 - 1));
     }
 }
-BENCHMARK(BM_HomeOfLegacy);
+BENCHMARK(BM_HomeOfLegacy)->UseRealTime();
 
 /** The placement layer's flat page->home table (the new hot path). */
 void
@@ -109,7 +109,7 @@ BM_HomeOfTable(benchmark::State &state)
         a = 0x1000'0000 + ((a + 64) & (64 * 1024 * 1024 - 1));
     }
 }
-BENCHMARK(BM_HomeOfTable);
+BENCHMARK(BM_HomeOfTable)->UseRealTime();
 
 void
 BM_WriteBufferPush(benchmark::State &state)
@@ -121,7 +121,7 @@ BM_WriteBufferPush(benchmark::State &state)
         now += 20; // drains keep up: no overflow path
     }
 }
-BENCHMARK(BM_WriteBufferPush);
+BENCHMARK(BM_WriteBufferPush)->UseRealTime();
 
 /** Whole-machine replay throughput on a synthetic streaming trace. */
 void
@@ -141,7 +141,7 @@ BM_MachineReplay(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(stream.size()));
 }
-BENCHMARK(BM_MachineReplay);
+BENCHMARK(BM_MachineReplay)->UseRealTime();
 
 /**
  * The same streaming replay on the three-level `modern` preset: what the
@@ -168,17 +168,14 @@ BM_HierarchyReplay(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(stream.size()));
 }
-BENCHMARK(BM_HierarchyReplay);
+BENCHMARK(BM_HierarchyReplay)->UseRealTime();
 
 /**
- * Engine comparison: four processors streaming over disjoint shared-space
- * regions, replayed by the sequential reference engine and by the
- * epoch-window parallel engine (one host thread per simulated processor).
- * Disjoint lines mean both engines produce identical statistics; the
- * spread between the two fixtures is the host-side speedup.
+ * Four processors streaming over disjoint shared-space regions: the
+ * interleaving cost of replay without coherence traffic.
  */
 void
-BM_MachineReplay4(benchmark::State &state, EngineConfig engine)
+BM_MachineReplay4(benchmark::State &state)
 {
     MachineConfig cfg = MachineConfig::baseline();
     std::vector<TraceStream> streams(cfg.nprocs);
@@ -196,14 +193,13 @@ BM_MachineReplay4(benchmark::State &state, EngineConfig engine)
     std::uint64_t entries = 0;
     for (auto _ : state) {
         Machine m(cfg);
-        SimStats s = m.run(ptrs, engine);
+        SimStats s = m.run(ptrs);
         benchmark::DoNotOptimize(s.procs[0].reads);
         entries += streams[0].size() * cfg.nprocs;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(entries));
 }
-BENCHMARK_CAPTURE(BM_MachineReplay4, seq, EngineConfig::seq());
-BENCHMARK_CAPTURE(BM_MachineReplay4, par, EngineConfig::par());
+BENCHMARK(BM_MachineReplay4)->UseRealTime();
 
 /**
  * Cost of the --memprof machinery on the machine replay path. Four
@@ -252,9 +248,9 @@ BM_MemprofOverhead(benchmark::State &state, int mode)
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(streams[0].size() * cfg.nprocs));
 }
-BENCHMARK_CAPTURE(BM_MemprofOverhead, off, 0);
-BENCHMARK_CAPTURE(BM_MemprofOverhead, on, 1);
-BENCHMARK_CAPTURE(BM_MemprofOverhead, profile, 2);
+BENCHMARK_CAPTURE(BM_MemprofOverhead, off, 0)->UseRealTime();
+BENCHMARK_CAPTURE(BM_MemprofOverhead, on, 1)->UseRealTime();
+BENCHMARK_CAPTURE(BM_MemprofOverhead, profile, 2)->UseRealTime();
 
 } // namespace
 

@@ -10,7 +10,7 @@
  * With --json, the report document carries one full "memprof" profile
  * per query plus the per-processor registry counters, which is what
  * scripts/check.sh --memprof validates (schema, the
- * cohe == cohe.true + cohe.false invariant, and engine invariance).
+ * cohe == cohe.true + cohe.false invariant, and rerun identity).
  */
 
 #include <iostream>
@@ -60,8 +60,8 @@ run(harness::BenchContext &ctx)
         harness::TraceSet traces = wl.trace(q);
 
         // One fresh profile per query, so each report is cold-cache and
-        // independent of query order (and bit-identical across engines:
-        // the profiler replays the traces itself).
+        // independent of query order (the profiler replays the traces
+        // itself).
         obs::MemProfile prof(mc);
         harness::RunOptions ro = session.runOptions();
         ro.memProfile = &prof;
@@ -108,7 +108,8 @@ int
 main(int argc, char **argv)
 {
     return harness::benchMain("report_memprof", argc, argv,
-                                 harness::BenchOptions::kEngine | harness::BenchOptions::kJson |
-            harness::BenchOptions::kScale |
-            harness::BenchOptions::kMemprof, run);
+                              harness::BenchOptions::kJson |
+                                  harness::BenchOptions::kScale |
+                                  harness::BenchOptions::kMemprof,
+                              run);
 }

@@ -6,10 +6,9 @@
  * Sweeps node-failure rate x offered load (open-loop arrival gap) with
  * the full resilience layer on: per-query deadlines, a bounded run queue
  * with load shedding, bounded-backoff migration off failed processors,
- * and the per-class circuit breaker. Every point is run under both
- * engines and the two stream reports must be byte-identical — the
- * resilience layer is a pure function of (stream seed, fault seed,
- * config).
+ * and the per-class circuit breaker. The resilience layer is a pure
+ * function of (stream seed, fault seed, config), so a rerun reproduces
+ * the report byte for byte (scripts/check.sh --resilience compares two).
  *
  * Hard per-point invariants (any violation exits nonzero):
  *
@@ -20,7 +19,6 @@
  *    positive at every swept failure rate
  *  - breaker recovery: a class whose breaker tripped during the failure
  *    window recovers (a half-open probe closed it) by stream end
- *  - engine invariance: seq and par reports byte-identical
  *
  * Knobs: the stream flags (--stream, --stream-seed, --stream-policy,
  * --trace-cache) plus the resilience flags (--deadline, --queue-cap,
@@ -44,27 +42,23 @@ struct PointResult
 {
     sched::StreamResult result;
     sched::StreamScheduler::Counters counters;
-    std::string dump; ///< full report, run stats included
 };
 
 PointResult
 runPoint(harness::Workload &wl, const sim::MachineConfig &cfg,
          const sched::StreamConfig &scfg,
          const sched::ResilienceConfig &res, const sim::FaultConfig &fc,
-         const sim::EngineConfig &engine, sched::TraceCache *cache)
+         sched::TraceCache *cache)
 {
-    // A fresh plan per run keeps the fired-outage log per-engine; the
-    // windows themselves are a pure function of the seed, so both
-    // engines consume identical outage schedules.
+    // A fresh plan per point keeps the fired-outage log per point; the
+    // windows themselves are a pure function of the seed.
     sim::FaultPlan plan(fc);
     harness::RunOptions ro;
-    ro.engine = engine;
     ro.faults = fc.rate > 0.0 ? &plan : nullptr;
     sched::StreamScheduler sched(wl, cfg, scfg, ro, cache, res);
     PointResult out;
     out.result = sched.run();
     out.counters = sched.counters();
-    out.dump = toJson(out.result, /*include_run_stats=*/true).dump();
     return out;
 }
 
@@ -111,14 +105,10 @@ run(harness::BenchContext &ctx)
     const sim::MachineConfig cfg = ctx.config();
     session.wireMemprof(cfg, &wl.db().catalog());
 
-    // Captures are pure, so a shared cache never influences simulated
-    // results — but the report embeds cache hit/miss stats, so each
-    // engine gets its own cache: both see the same fetch sequence and
-    // the byte-identity check covers the cache block too.
-    sched::TraceCache cacheSeq(opts.traceCacheCapacity);
-    sched::TraceCache cachePar(opts.traceCacheCapacity);
-    sched::TraceCache *cacheSeqP = opts.traceCache ? &cacheSeq : nullptr;
-    sched::TraceCache *cacheParP = opts.traceCache ? &cachePar : nullptr;
+    // Captures are pure, so the shared cache never influences simulated
+    // results.
+    sched::TraceCache cache(opts.traceCacheCapacity);
+    sched::TraceCache *cacheP = opts.traceCache ? &cache : nullptr;
 
     sched::StreamConfig base;
     base.instances = instances;
@@ -131,7 +121,7 @@ run(harness::BenchContext &ctx)
 
     harness::TextTable tab({"gap", "rate", "outages", "goodput", "timeout",
                             "shed", "aband", "migr", "qpeak", "trips",
-                            "recov", "p95(ok)", "bitident"});
+                            "recov", "p95(ok)"});
     obs::Json &figure = session.extra();
     unsigned violations = 0;
     auto violate = [&](const std::string &what) {
@@ -151,23 +141,17 @@ run(harness::BenchContext &ctx)
             fc.nodeMeanUpCycles = 6000000;
             fc.nodeDownCycles = 1500000;
 
-            PointResult seq = runPoint(wl, cfg, scfg, res, fc,
-                                       sim::EngineConfig::seq(), cacheSeqP);
-            PointResult par = runPoint(wl, cfg, scfg, res, fc,
-                                       sim::EngineConfig::par(2), cacheParP);
-            const bool identical = seq.dump == par.dump;
+            PointResult pt = runPoint(wl, cfg, scfg, res, fc, cacheP);
             const std::string label = "gap" + std::to_string(gap) +
                                       " rate" + harness::fixed(rate, 2);
-            if (!identical)
-                violate(label + ": seq and par stream reports differ");
 
-            const sched::ResilienceReport &rep = seq.result.resilience;
+            const sched::ResilienceReport &rep = pt.result.resilience;
             const sched::ClassSlo &t = rep.total;
             const std::uint64_t shed_total =
                 t.shedQueue + t.shedBreaker + t.shedExpired;
-            if (seq.counters.queuePeak > res.queueCapacity)
+            if (pt.counters.queuePeak > res.queueCapacity)
                 violate(label + ": queue peak " +
-                        std::to_string(seq.counters.queuePeak) +
+                        std::to_string(pt.counters.queuePeak) +
                         " exceeds capacity " +
                         std::to_string(res.queueCapacity));
             if (t.submitted != instances ||
@@ -191,19 +175,17 @@ run(harness::BenchContext &ctx)
                         std::to_string(shed_total),
                         std::to_string(t.abandoned),
                         std::to_string(t.migrations),
-                        std::to_string(seq.counters.queuePeak),
+                        std::to_string(pt.counters.queuePeak),
                         std::to_string(rep.breakerTrips),
                         std::to_string(rep.breakerRecoveries),
-                        harness::fixed(seq.result.latency.p95, 0),
-                        identical ? "yes" : "NO"});
+                        harness::fixed(pt.result.latency.p95, 0)});
 
             if (session.wantJson()) {
                 obs::Json point =
-                    toJson(seq.result, /*include_run_stats=*/false);
+                    toJson(pt.result, /*include_run_stats=*/false);
                 point["label"] = label;
                 point["gap"] = obs::Json(gap);
                 point["rate"] = obs::Json(rate);
-                point["bit_identical"] = obs::Json(identical);
                 figure["points"].push(std::move(point));
             }
         }
@@ -234,13 +216,8 @@ run(harness::BenchContext &ctx)
         fc.nodeMeanUpCycles = 2000000;
         fc.nodeDownCycles = 2000000;
 
-        PointResult seq = runPoint(wl, cfg, scfg, bres, fc,
-                                   sim::EngineConfig::seq(), cacheSeqP);
-        PointResult par = runPoint(wl, cfg, scfg, bres, fc,
-                                   sim::EngineConfig::par(2), cacheParP);
-        const sched::ResilienceReport &rep = seq.result.resilience;
-        if (seq.dump != par.dump)
-            violate("breaker scenario: seq and par reports differ");
+        PointResult pt = runPoint(wl, cfg, scfg, bres, fc, cacheP);
+        const sched::ResilienceReport &rep = pt.result.resilience;
         if (rep.breakerTrips == 0)
             violate("breaker scenario: breaker never tripped");
         if (rep.breakerRecoveries == 0)
@@ -256,7 +233,7 @@ run(harness::BenchContext &ctx)
                       << " at stream end\n";
         if (session.wantJson()) {
             obs::Json point =
-                toJson(seq.result, /*include_run_stats=*/false);
+                toJson(pt.result, /*include_run_stats=*/false);
             point["label"] = obs::Json(std::string("breaker_lifecycle"));
             figure["breaker_lifecycle"] = std::move(point);
         }
@@ -271,9 +248,8 @@ run(harness::BenchContext &ctx)
         solo.mix = {{q, 1}};
         solo.paramVariants = 1;
         harness::RunOptions ro;
-        ro.engine = opts.engine;
         ro.registrySnapshot = session.registrySlot();
-        sched::StreamScheduler s(wl, cfg, solo, ro, cacheSeqP);
+        sched::StreamScheduler s(wl, cfg, solo, ro, cacheP);
         sched::StreamResult r = s.run();
         session.addRun("solo " + tpcd::queryName(q),
                        r.records.front().stats);
@@ -282,8 +258,7 @@ run(harness::BenchContext &ctx)
     std::cout << "\nVerdict: "
               << (violations == 0
                       ? "resilient — bounded queues, conserved outcomes, "
-                        "breaker recovery and engine-invariant reports at "
-                        "every swept point"
+                        "breaker recovery at every swept point"
                       : "FAILED — " + std::to_string(violations) +
                             " invariant violation(s), see stderr")
               << ".\n";
@@ -296,6 +271,8 @@ int
 main(int argc, char **argv)
 {
     return harness::benchMain("resilience_sweep", argc, argv,
-                                 harness::BenchOptions::kAll | harness::BenchOptions::kStream |
-            harness::BenchOptions::kResilience, run);
+                              harness::BenchOptions::kAll |
+                                  harness::BenchOptions::kStream |
+                                  harness::BenchOptions::kResilience,
+                              run);
 }

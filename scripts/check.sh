@@ -8,12 +8,12 @@
 #
 # --sanitize builds into a separate build directory (build-tsan/,
 # build-asan/ or build-ubsan/) with -DSIM_SANITIZE set and runs only the
-# engine and coherence tests there — the interleaving-heavy subset a
-# sanitizer can actually judge — so the instrumented build never
-# pollutes the normal one and stays fast enough for routine use.
+# machine, coherence and metalock-table tests there — the interleaving-heavy
+# subset — so the instrumented build never pollutes the normal one and
+# stays fast enough for routine use.
 #
 # --chaos runs the robustness gauntlet: TSan and ASan builds over the
-# fault-injection, invariant-checker and engine-stress suites, plus the
+# fault-injection, invariant-checker and machine suites, plus the
 # chaos_fault_sweep bench at tiny scale (nonzero fault rates, checker
 # on, exit 1 on any violation) and the placement-policy sweep under the
 # checker.
@@ -27,22 +27,23 @@
 # --memprof runs the line-level memory-profiler checks: the memprof unit
 # tests, report_memprof over Q3/Q6/Q12 at tiny scale, JSON schema
 # validation of the profile block, the per-processor
-# cohe == cohe.true + cohe.false counter invariant, and bit-identity of
-# the profile across the sequential and parallel engines.
+# cohe == cohe.true + cohe.false counter invariant, and byte-identity
+# of the JSON report across two identical runs.
 #
 # --stream runs the query-stream scheduler checks: the sched unit,
 # property, fuzz and golden tests, then throughput_stream at tiny scale
-# under both engines with JSON output, validating the stream report
-# schema and asserting the whole sweep (points, summaries, registry
-# snapshots) is bit-identical between --engine seq and --engine par.
-# The chaos gauntlet also runs these under each sanitizer.
+# twice with JSON output, validating the stream report schema and
+# asserting the whole sweep (points, summaries, registry snapshots) is
+# bit-identical between the two runs. The chaos gauntlet also runs
+# these under each sanitizer.
 #
 # --resilience runs the stream-resilience checks: the resilience unit,
 # breaker, outage-table, scheduler and golden tests, then the
 # resilience_sweep bench at tiny scale with JSON output, validating the
 # SLO accounting schema, outcome conservation at every swept point,
-# engine bit-identity, and breaker trip + recovery in the failure-window
-# scenario. The chaos gauntlet also runs these under each sanitizer.
+# breaker trip + recovery in the failure-window scenario, and
+# byte-identity of the JSON report across two identical runs. The chaos
+# gauntlet also runs these under each sanitizer.
 #
 # --machine runs the machine-spec checks: the hierarchy/spec unit tests,
 # `--machine list` preset discovery, byte-identity of the default report
@@ -134,27 +135,27 @@ short_of() {
 }
 
 # Query-stream scheduler checks against an existing build dir: the sched
-# unit/property/fuzz/golden tests, then the throughput_stream bench on
-# both engines, validating the JSON schema, the latency algebra of every
-# record, and engine bit-identity of the full sweep.
+# unit/property/fuzz/golden tests, then the throughput_stream bench run
+# twice, validating the JSON schema, the latency algebra of every
+# record, and rerun bit-identity of the full sweep.
 stream_checks() {
     local dir="$1"
     local filter='Percentile.*:LatencySummary.*:StreamModel.*'
     filter+=':TraceCacheUnit.*:SchedSim.*:StreamFuzz.*:GoldenStats.Stream*'
     "$dir/tests/dss_tests" --gtest_filter="$filter"
 
-    local seq_json="$dir/stream_check_seq.json"
-    local par_json="$dir/stream_check_par.json"
+    local first_json="$dir/stream_check_first.json"
+    local rerun_json="$dir/stream_check_rerun.json"
     "$dir/bench/throughput_stream" --scale tiny --stream 8 \
-        --json "$seq_json" > /dev/null
-    "$dir/bench/throughput_stream" --scale tiny --stream 8 --engine par \
-        --json "$par_json" > /dev/null
+        --json "$first_json" > /dev/null
+    "$dir/bench/throughput_stream" --scale tiny --stream 8 \
+        --json "$rerun_json" > /dev/null
 
-    python3 - "$seq_json" "$par_json" <<'PYSTREAM'
+    python3 - "$first_json" "$rerun_json" <<'PYSTREAM'
 import json, sys
 
 seq = json.load(open(sys.argv[1]))
-par = json.load(open(sys.argv[2]))
+rerun = json.load(open(sys.argv[2]))
 
 def fail(msg):
     sys.stderr.write("check.sh: stream: %s\n" % msg)
@@ -200,11 +201,12 @@ cv = seq.get("cache_validation")
 if not cv or not cv.get("bit_identical"):
     fail("cache validation block missing or not bit-identical")
 
-# The whole sweep must be engine-invariant, bit for bit.
-if seq["points"] != par["points"]:
-    fail("stream sweep differs between --engine seq and --engine par")
+# The whole sweep must reproduce bit for bit. (The cache_validation
+# block carries host wall-clock seconds, so only the points compare.)
+if json.dumps(seq["points"]) != json.dumps(rerun["points"]):
+    fail("stream sweep differs between two identical runs")
 
-print("check.sh: stream schema, latency algebra and engine"
+print("check.sh: stream schema, latency algebra and rerun"
       " bit-identity OK")
 PYSTREAM
 }
@@ -212,8 +214,9 @@ PYSTREAM
 # Stream-resilience checks against an existing build dir: the resilience
 # unit/property/scheduler/golden tests, then the resilience_sweep bench
 # (whose own per-point invariants — bounded queues, conservation,
-# breaker recovery, engine bit-identity — make its exit code a verdict),
-# validating the JSON SLO schema and the failure-window scenario.
+# breaker recovery — make its exit code a verdict) run twice, validating
+# the JSON SLO schema, the failure-window scenario and byte-identity of
+# the two reports.
 resilience_checks() {
     local dir="$1"
     local filter='ShedPolicyModel.*:ResilienceConfigModel.*'
@@ -222,8 +225,16 @@ resilience_checks() {
     "$dir/tests/dss_tests" --gtest_filter="$filter"
 
     local out_json="$dir/resilience_check.json"
+    local rerun_json="$dir/resilience_check_rerun.json"
     "$dir/bench/resilience_sweep" --scale tiny --json "$out_json" \
         > /dev/null
+    "$dir/bench/resilience_sweep" --scale tiny --json "$rerun_json" \
+        > /dev/null
+    if ! cmp -s "$out_json" "$rerun_json"; then
+        echo "check.sh: resilience: JSON report differs between two" \
+             "identical runs" >&2
+        exit 1
+    fi
 
     python3 - "$out_json" <<'PYRES'
 import json, sys
@@ -241,8 +252,6 @@ slo_keys = ("submitted", "goodput", "timeouts", "shed_queue",
             "shed_breaker", "shed_expired", "abandoned", "migrations")
 for pt in points:
     label = pt.get("label")
-    if not pt.get("bit_identical"):
-        fail("%s not bit-identical between engines" % label)
     res = pt.get("resilience")
     if not isinstance(res, dict):
         fail("%s lacks a resilience block" % label)
@@ -281,7 +290,7 @@ if not bl["resilience"]["outages"]:
     fail("breaker scenario saw no outages")
 
 print("check.sh: resilience SLO schema, conservation, breaker life"
-      " cycle and engine bit-identity OK")
+      " cycle and rerun byte-identity OK")
 PYRES
 }
 
@@ -402,26 +411,30 @@ PYMACHINE
 }
 
 # Line-level memory-profiler checks against an existing build dir: unit
-# tests, then report_memprof over Q3/Q6/Q12 with --memprof on both
-# engines, validating the JSON profile schema, the per-processor
-# cohe == cohe.true + cohe.false registry invariant, and engine
-# bit-identity of the profile block.
+# tests, then report_memprof over Q3/Q6/Q12 with --memprof run twice,
+# validating the JSON profile schema, the per-processor
+# cohe == cohe.true + cohe.false registry invariant, and byte-identity
+# of the two reports.
 memprof_checks() {
     local dir="$1"
     "$dir/tests/dss_tests" --gtest_filter='MemProfile.*:RegionMap.*'
 
-    local seq_json="$dir/memprof_check_seq.json"
-    local par_json="$dir/memprof_check_par.json"
+    local seq_json="$dir/memprof_check.json"
+    local rerun_json="$dir/memprof_check_rerun.json"
     "$dir/bench/report_memprof" --memprof --scale tiny \
         --json "$seq_json" > /dev/null
-    "$dir/bench/report_memprof" --memprof --scale tiny --engine par \
-        --json "$par_json" > /dev/null
+    "$dir/bench/report_memprof" --memprof --scale tiny \
+        --json "$rerun_json" > /dev/null
+    if ! cmp -s "$seq_json" "$rerun_json"; then
+        echo "check.sh: memprof: JSON report differs between two" \
+             "identical runs" >&2
+        exit 1
+    fi
 
-    python3 - "$seq_json" "$par_json" <<'EOF'
+    python3 - "$seq_json" <<'EOF'
 import json, sys
 
 seq = json.load(open(sys.argv[1]))
-par = json.load(open(sys.argv[2]))
 
 def fail(msg):
     sys.stderr.write("check.sh: memprof: %s\n" % msg)
@@ -466,12 +479,8 @@ for run in seq["runs"]:
             fail("%s %s: cohe %d != true %d + false %d"
                  % (run["label"], p, cohe, true, false_))
 
-# The profile replays traces itself: bit-identical across engines.
-if profiles != par.get("memprof"):
-    fail("profile differs between --engine seq and --engine par")
-
-print("check.sh: memprof schema, counter invariant and engine"
-      " bit-identity OK")
+print("check.sh: memprof schema, counter invariant and rerun"
+      " byte-identity OK")
 EOF
 }
 
@@ -578,11 +587,12 @@ lint_checks() {
 
 if [[ "$chaos" -eq 1 ]]; then
     # Robustness gauntlet: the fault/checker/guard suites plus the
-    # engine-stress interleavings, under both TSan and ASan, then the
-    # chaos sweep bench end to end (its exit code is the verdict).
+    # machine's contended-lock interleavings, under both TSan and ASan,
+    # then the chaos sweep bench end to end (its exit code is the
+    # verdict).
     filter='FaultDeterminism.*:FaultInjection.*:GracefulFailure.*'
     filter+=':CheckerCorruption.*:CheckerClean.*:Backoff.*:RetryOnAbort.*'
-    filter+=':GuardedMain.*:EngineStress.*:EngineDifferential.*'
+    filter+=':GuardedMain.*:Machine.*'
     filter+=':SchedSim.*:StreamFuzz.*'
     for san in thread address; do
         dir="$repo/build-$(short_of "$san")"
@@ -597,7 +607,7 @@ if [[ "$chaos" -eq 1 ]]; then
         # The profiler's replay and the sharing tracker under the
         # sanitizer, plus the schema/invariant/bit-identity checks.
         memprof_checks "$dir"
-        # Stream scheduler differential + schema under the sanitizer.
+        # Stream scheduler rerun identity + schema under the sanitizer.
         stream_checks "$dir"
         # Deadlines, shedding, breaker and node-failure migration under
         # the sanitizer, plus the SLO schema/conservation checks.
@@ -693,7 +703,7 @@ elif [[ -n "$sanitize" ]]; then
     cmake -B "$build" -S "$repo" -DSIM_SANITIZE="$sanitize"
     cmake --build "$build" -j"$(nproc)" --target dss_tests
     "$build/tests/dss_tests" \
-        --gtest_filter='EngineStress.*:EngineDifferential.*:Coherence*.*:Spinlock*.*'
+        --gtest_filter='Machine.*:Coherence*.*:LockTable.*'
 else
     build="${build:-$repo/build}"
     cmake -B "$build" -S "$repo"

@@ -2,8 +2,8 @@
 """Determinism lint for the simulator core.
 
 The repo's headline guarantee is bit-identical simulation output for a
-given input — across repeated runs, engines and host thread counts. The
-classic ways C++ code silently breaks that guarantee:
+given input on every run. The classic ways C++ code silently breaks
+that guarantee:
 
   * wall-clock or libc randomness: rand()/srand()/time(),
     std::random_device (seeded mt19937 with a fixed seed is fine — the
@@ -11,11 +11,15 @@ classic ways C++ code silently breaks that guarantee:
   * iterating a std::unordered_map/unordered_set and letting the
     iteration order reach anything observable (stats, JSON, event
     order). libstdc++ hashes pointers and sizes; the order can change
-    between builds, ASLR seeds and library versions.
+    between builds, ASLR seeds and library versions;
+  * host threads: std::thread, std::mutex, std::condition_variable,
+    std::async or #include <thread>. The simulation core has one engine
+    and runs on the caller's thread; host parallelism belongs above it,
+    over independent runs, where it cannot reorder simulated events.
 
 This script scans src/sim/ and src/sched/ (the deterministic core; the
-DB layer and benches sit above the guarantee) and fails on either
-pattern. Findings are suppressed by:
+DB layer and benches sit above the guarantee) and fails on any of these
+patterns. Findings are suppressed by:
 
   * an inline annotation on the offending line or the line above:
         // det-lint: allow(<why this is deterministic>)
@@ -45,7 +49,7 @@ ALLOWLIST = {
 
 ALLOW_RE = re.compile(r"det-lint:\s*allow\(([^)]*)\)")
 
-# Banned calls. \b keeps retireTime( / lastRetire( etc. out.
+# Banned calls and types. \b keeps retireTime( / lastRetire( etc. out.
 BANNED_CALLS = [
     (re.compile(r"\brand\s*\("), "rand(): unseeded libc randomness"),
     (re.compile(r"\bsrand\s*\("), "srand(): process-global RNG seeding"),
@@ -56,6 +60,16 @@ BANNED_CALLS = [
     (re.compile(r"\bclock_gettime\s*\("), "clock_gettime(): wall-clock"),
     (re.compile(r"\bsteady_clock\b|\bsystem_clock\b|\bhigh_resolution_clock\b"),
      "std::chrono clock: wall-clock input"),
+    (re.compile(r"\bstd::j?thread\b"),
+     "std::thread: host threads in the simulation core"),
+    (re.compile(r"\bstd::(?:recursive_|shared_|timed_)*mutex\b"),
+     "std::mutex: host threads in the simulation core"),
+    (re.compile(r"\bstd::condition_variable(?:_any)?\b"),
+     "std::condition_variable: host threads in the simulation core"),
+    (re.compile(r"\bstd::async\b"),
+     "std::async: host threads in the simulation core"),
+    (re.compile(r"#\s*include\s*<thread>"),
+     "#include <thread>: host threads in the simulation core"),
 ]
 
 UNORDERED_DECL_RE = re.compile(

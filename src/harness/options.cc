@@ -18,12 +18,6 @@ void
 usage(std::ostream &os, const std::string &bench, unsigned flags)
 {
     os << "usage: " << bench << " [options]\n";
-    if (flags & BenchOptions::kEngine)
-        os << "  --engine <name>  simulation engine: seq (default), par\n"
-           << "  --threads <n>    par engine host threads (0 = one per "
-              "simulated proc)\n"
-           << "  --window <n>     par engine barrier window, in simulated "
-              "cycles\n";
     if (flags & BenchOptions::kJson)
         os << "  --json <path>    write a machine-readable JSON report\n";
     if (flags & BenchOptions::kTrace)
@@ -46,9 +40,8 @@ usage(std::ostream &os, const std::string &bench, unsigned flags)
         os << "  --fault-rate <p> inject deterministic faults with "
               "per-opportunity\n"
            << "                   probability p in [0,1] (0 disables)\n"
-           << "  --fault-seed <n> seed for the fault schedule "
-              "(replayable across\n"
-           << "                   engines and thread counts)\n";
+           << "  --fault-seed <n> seed for the fault schedule (same seed, "
+              "same faults)\n";
     if (flags & BenchOptions::kPlacement)
         os << "  --placement <p>  NUMA page-placement policy: "
            << sim::PlacementSpec::help() << '\n'
@@ -159,28 +152,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench_name,
         if (arg == "--help" || arg == "-h") {
             usage(std::cout, bench_name, flags);
             std::exit(0);
-        } else if (arg == "--engine" && supported(arg, kEngine)) {
-            const std::string v = needValue(i++);
-            auto kind = sim::parseEngineKind(v);
-            if (!kind) {
-                std::cerr << bench_name << ": unknown --engine '" << v
-                          << "' (seq, par)\n";
-                std::exit(2);
-            }
-            opts.engine.kind = *kind;
-        } else if (arg == "--threads" && supported(arg, kEngine)) {
-            const std::string v = needValue(i++);
-            char *end = nullptr;
-            std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-            if (!end || *end != '\0' || n > 1024) {
-                std::cerr << bench_name
-                          << ": --threads needs a small count, got '" << v
-                          << "'\n";
-                std::exit(2);
-            }
-            opts.engine.threads = static_cast<unsigned>(n);
-        } else if (arg == "--window" && supported(arg, kEngine)) {
-            opts.engine.windowCycles = positive(i++, "--window");
         } else if (arg == "--json" && supported(arg, kJson)) {
             opts.jsonPath = needValue(i++);
         } else if (arg == "--trace" && supported(arg, kTrace)) {
@@ -435,7 +406,6 @@ RunOptions
 ObsSession::runOptions()
 {
     RunOptions ro;
-    ro.engine = opts_.engine;
     ro.sampler = sampler();
     ro.timeline = timeline();
     ro.registrySnapshot = registrySlot();

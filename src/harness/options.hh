@@ -7,9 +7,6 @@
  * subset it implements; anything else — including misspellings — is a
  * hard error, never silently ignored):
  *
- *   --engine <seq|par> simulation engine (see sim/engine.hh)
- *   --threads <n>     par engine: host worker threads (0 = one per proc)
- *   --window <cycles> par engine: barrier window length
  *   --json <path>    write a machine-readable report of the run
  *   --trace <path>   write a Chrome trace-event timeline (chrome://tracing)
  *   --epoch <cycles> sample per-processor counters every N simulated
@@ -74,7 +71,6 @@ struct BenchOptions
 {
     /** Which shared flags a binary implements (parse() mask). */
     enum Flags : unsigned {
-        kEngine = 1u << 0, ///< --engine / --threads / --window
         kJson = 1u << 1,
         kTrace = 1u << 2,
         kEpoch = 1u << 3,
@@ -83,8 +79,8 @@ struct BenchOptions
         kFault = 1u << 6, ///< --fault-seed / --fault-rate
         kPlacement = 1u << 7, ///< --placement / --page-profile
         kMemprof = 1u << 8, ///< --memprof[=topN]
-        kAll = kEngine | kJson | kTrace | kEpoch | kScale | kCheck |
-               kFault | kPlacement | kMemprof,
+        kAll = kJson | kTrace | kEpoch | kScale | kCheck | kFault |
+               kPlacement | kMemprof,
         /**
          * --stream / --stream-seed / --stream-policy / --trace-cache.
          * NOT part of kAll: only stream-aware benches opt in (pass
@@ -111,7 +107,6 @@ struct BenchOptions
         kVerify = 1u << 12,
     };
 
-    sim::EngineConfig engine;    ///< --engine / --threads / --window
     std::string jsonPath;        ///< --json; empty = no JSON output
     std::string tracePath;       ///< --trace; empty = no timeline output
     sim::Cycles epochCycles = 0; ///< --epoch; 0 = no time-series sampling
@@ -229,9 +224,9 @@ class ObsSession
     sim::PlacementPolicy *placement() { return placement_.get(); }
 
     /**
-     * Everything wired up for one runCold/runSequence call: engine,
-     * sampler, timeline, a fresh registry slot (when --json), the
-     * checker and fault plan, and retry notes on stderr.
+     * Everything wired up for one runCold/runSequence call: sampler,
+     * timeline, a fresh registry slot (when --json), the checker and
+     * fault plan, and retry notes on stderr.
      */
     RunOptions runOptions();
 

@@ -34,15 +34,13 @@ class PlacementPolicy;
 namespace harness {
 
 /**
- * Everything a run can be wired up with, in one bundle: engine choice,
- * observers (sampler / timeline / registry snapshot), robustness hooks
+ * Everything a run can be wired up with, in one bundle: observers (sampler / timeline / registry snapshot), robustness hooks
  * (invariant checker, fault plan, retry policy for injected query
  * aborts) and a stream for retry notes. All pointers are optional and
  * borrowed.
  */
 struct RunOptions
 {
-    sim::EngineConfig engine;
     obs::Sampler *sampler = nullptr;
     obs::Timeline *timeline = nullptr;
     obs::Json *registrySnapshot = nullptr;
@@ -72,7 +70,7 @@ sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
 /**
  * One guarded run on a caller-owned machine: reset the per-run lifetime
  * stats, feed the page/memory profilers, schedule and retry
- * FaultPlan-injected aborts, and replay @p traces with opts.engine. This
+ * FaultPlan-injected aborts, and replay @p traces. This
  * is the primitive runCold/runSequence chain per trace set — exposed so
  * the stream scheduler (src/sched/) can drive many back-to-back query
  * instances on one warm machine it wires up itself (setChecker,
@@ -103,13 +101,6 @@ sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
                       obs::Timeline *timeline = nullptr,
                       obs::Json *registry_snapshot = nullptr);
 
-/** Same, replayed by an explicit engine (BenchOptions' --engine flag). */
-sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
-                      const sim::EngineConfig &engine,
-                      obs::Sampler *sampler = nullptr,
-                      obs::Timeline *timeline = nullptr,
-                      obs::Json *registry_snapshot = nullptr);
-
 /**
  * Simulate a sequence of trace sets on one machine without flushing caches
  * between them (Fig 12: "caches warmed up with another execution"). The
@@ -122,15 +113,6 @@ sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
 std::vector<sim::SimStats>
 runSequence(const sim::MachineConfig &cfg,
             const std::vector<const TraceSet *> &sequence,
-            obs::Sampler *sampler = nullptr,
-            obs::Timeline *timeline = nullptr,
-            obs::Json *registry_snapshot = nullptr);
-
-/** Same, replayed by an explicit engine (BenchOptions' --engine flag). */
-std::vector<sim::SimStats>
-runSequence(const sim::MachineConfig &cfg,
-            const std::vector<const TraceSet *> &sequence,
-            const sim::EngineConfig &engine,
             obs::Sampler *sampler = nullptr,
             obs::Timeline *timeline = nullptr,
             obs::Json *registry_snapshot = nullptr);

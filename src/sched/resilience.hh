@@ -7,8 +7,8 @@
  *
  * Everything here is a pure function of (stream seed, fault seed,
  * config) plus the deterministic per-instance service times the
- * scheduler already derives, so a resilient stream stays bit-identical
- * across --engine seq|par and host thread counts (DESIGN.md §16):
+ * scheduler already derives, so a resilient stream replays bit-identically
+ * (DESIGN.md §16):
  *
  *  - Deadlines are absolute cycles (arrival + class budget), compared
  *    against the solo-run completion cycle — no wall clock anywhere.

@@ -9,10 +9,9 @@
  * tests/test_stream_fuzz.cc):
  *
  *  1. Each instance runs *solo* — one trace on its assigned processor
- *     slot of the shared machine, via harness::runOnMachine. Solo runs
- *     are bit-identical under the sequential and parallel engines for
- *     any host thread count (a single pipeline leaves no cross-processor
- *     interleaving for the engines to order differently).
+ *     slot of the shared machine, via harness::runOnMachine. A single
+ *     pipeline leaves no cross-processor interleaving to order, so a
+ *     solo run depends only on its trace and the machine state.
  *  2. Trace capture is pure: Workload::streamTrace yields byte-identical
  *     streams for equal (query, params, proc), so the TraceCache's hit
  *     path replays exactly the miss path's bytes.
@@ -97,9 +96,8 @@ struct StreamResult
 /**
  * The full result as JSON. @p include_run_stats embeds each instance's
  * complete solo-run toJson(SimStats) — exact but bulky; stream goldens
- * and differential tests use it, human-facing reports may skip it.
- * Deliberately engine-free: a seq-scheduled and a par-scheduled stream
- * of the same configuration serialize byte-identically, which the golden
+ * and rerun tests use it, human-facing reports may skip it. Two runs of
+ * the same configuration serialize byte-identically, which the golden
  * fixtures pin (tests/golden/stream_*.json).
  */
 obs::Json toJson(const StreamResult &r, bool include_run_stats = true);
@@ -108,8 +106,8 @@ obs::Json toJson(const StreamResult &r, bool include_run_stats = true);
  * Runs one stream on one warm machine. The scheduler owns the Machine
  * (built from @p machine_cfg) and wires it from @p base_opts exactly
  * like harness::runCold would (checker, fault plan, placement, sharing
- * tracker); the per-run pieces of @p base_opts (engine, sampler,
- * timeline, profilers, retry policy) pass through to every instance run.
+ * tracker); the per-run pieces of @p base_opts (sampler, timeline,
+ * profilers, retry policy) pass through to every instance run.
  *
  * @p cache may be null (cache disabled: every instance re-captures) and
  * may be shared across schedulers — entries are keyed on capture

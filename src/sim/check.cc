@@ -62,9 +62,6 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
 {
     const MachineConfig &cfg = m.cfg_;
     const Addr line = m.dir_.lineAddrOf(addr);
-    // The parallel engine's prefetch-share back-off can strand a stale
-    // clean copy (see file comment); tolerate exactly that shape.
-    const bool tol = cfg.prefetchData;
 
     std::uint64_t holders = 0;
     std::uint64_t dirty = 0;
@@ -82,7 +79,7 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
         report(Invariant::Swmr, line, 0,
                "multiple dirty copies of " + hexAddr(line) +
                    " (dirty mask " + std::to_string(dirty) + ")");
-    } else if (dirty != 0 && holders != dirty && !tol) {
+    } else if (dirty != 0 && holders != dirty) {
         report(Invariant::Swmr, line, 0,
                "dirty copy of " + hexAddr(line) +
                    " coexists with other cached copies (holders " +
@@ -98,7 +95,7 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
             report(Invariant::DirState, line, 0,
                    "dirty cached copy of " + hexAddr(line) +
                        " under an Uncached directory entry");
-        else if (holders != 0 && !tol)
+        else if (holders != 0)
             report(Invariant::DirState, line, 0,
                    "cached copy of " + hexAddr(line) +
                        " under an Uncached directory entry");
@@ -118,7 +115,7 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
                    "sharer bits " + std::to_string(missing) + " of " +
                        hexAddr(line) + " name caches with no copy");
         const std::uint64_t extra = holders & ~e.sharers;
-        if (extra != 0 && !tol)
+        if (extra != 0)
             report(Invariant::DirState, line, 0,
                    "caches " + std::to_string(extra) + " hold " +
                        hexAddr(line) + " but are not in the sharer set");
@@ -144,7 +141,7 @@ InvariantChecker::checkLine(const Machine &m, Addr addr)
                    "Dirty entry for " + hexAddr(line) +
                        " with sharer set != owner bit");
         const std::uint64_t others = holders & ~bit(e.owner);
-        if (others != 0 && !tol)
+        if (others != 0)
             report(Invariant::DirState, line, e.owner,
                    "caches " + std::to_string(others) +
                        " hold copies of Dirty-owned " + hexAddr(line));
@@ -215,8 +212,8 @@ InvariantChecker::checkLocks(const Machine &m)
             seen.push_back(w);
         }
     }
-    // Cross-check against the engine's blocked flags (only meaningful
-    // while a run is active and between whole steps/barriers).
+    // Cross-check against the machine's blocked flags (only meaningful
+    // while a run is active and between whole steps).
     if (m.runs_.size() == np) {
         for (ProcId p = 0; p < np; ++p) {
             const bool blocked = m.runs_[p].blocked;
@@ -252,16 +249,6 @@ InvariantChecker::onStep(const Machine &m, ProcId p, const TraceEntry &e)
         checkLocks(m);
         break;
     }
-}
-
-void
-InvariantChecker::onBarrier(const Machine &m, const std::vector<Addr> &lines)
-{
-    for (Addr a : lines)
-        checkLine(m, a);
-    checkLocks(m);
-    for (ProcId p = 0; p < m.cfg_.nprocs; ++p)
-        checkWriteBuffer(m, p);
 }
 
 void

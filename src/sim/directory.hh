@@ -119,8 +119,7 @@ class Directory
 
     /**
      * Read-only lookup that never creates an entry; nullptr when the line
-     * has no directory state yet. Safe to call concurrently with other
-     * readers (the parallel engine's frozen phase-A view).
+     * has no directory state yet.
      */
     const Entry *peek(Addr addr) const;
 
@@ -179,21 +178,6 @@ class Directory
      */
     Cycles acquireController(ProcId home, Cycles arrival);
 
-    /**
-     * Occupy @p home's controller without computing a queuing delay: the
-     * parallel engine computed @p charged_delay against its phase-A
-     * overlay and replays only the occupancy (and the contention
-     * counters) at the window barrier.
-     */
-    void occupy(ProcId home, Cycles arrival, Cycles charged_delay);
-
-    /** Cycle @p home's controller becomes free (read-only view). */
-    Cycles
-    controllerFreeAt(ProcId home) const
-    {
-        return controllerFree_[home];
-    }
-
     /** Controller service time per transaction at the current line size. */
     Cycles occupancyCycles() const;
 
@@ -220,8 +204,8 @@ class Directory
 
     /**
      * Deterministic dump of all directory state, sorted by line address
-     * (the backing map is unordered). Used by the differential tests to
-     * compare final machine state across engines and thread counts.
+     * (the backing map is unordered). Used by the invariant checker's
+     * end-of-run sweep.
      */
     std::vector<std::pair<Addr, Entry>> sortedEntries() const;
 

@@ -2,7 +2,7 @@
  * @file
  * Typed simulator failure carrying a structured machine-state dump.
  *
- * A SimError replaces the bare asserts the engines used to die with: when
+ * A SimError replaces the bare asserts the machine used to die with: when
  * the machine reaches a state it cannot make progress from (every live
  * processor blocked on a metalock — a simulated deadlock), it unwinds with
  * a SimError whose dump() JSON records each processor's clock, trace

@@ -23,15 +23,13 @@
  *
  * Determinism contract: every decision is a pure function of
  * (seed, run index, processor, per-processor trace position, fault kind)
- * — never of the global interleaving. Both engines visit each processor's
+ * — never of the global interleaving. Replay visits each processor's
  * Read/Write/LockRel trace positions exactly once per run, so the same
- * seed produces a bit-identical fault schedule under --engine seq and
- * --engine par at any host thread count. (LockAcq entries re-execute on
- * wake-up and are therefore never fault points.)
+ * seed produces a bit-identical fault schedule on every rerun. (LockAcq
+ * entries re-execute on wake-up and are therefore never fault points.)
  *
- * Thread safety: during the parallel engine's phase A the worker for
- * processor p only touches the plan's slot p; aggregation (counters(),
- * schedule(), toJson()) is only valid outside a run.
+ * Aggregation (counters(), schedule(), toJson()) is only valid outside a
+ * run.
  */
 
 #ifndef DSS_SIM_FAULT_HH
@@ -158,8 +156,8 @@ class FaultPlan
      * NodeFailure kind is disabled (or the config is permanent-failure
      * and k > 0). Pure function of (seed, p, k): outage k starts after
      * k+1 exponential up-time gaps (mean nodeMeanUpCycles / rate) plus
-     * the k earlier down intervals, so windows never overlap and both
-     * engines at any host thread count see identical windows.
+     * the k earlier down intervals, so windows never overlap and every
+     * rerun sees identical windows.
      */
     std::optional<Outage> nodeOutage(ProcId p, unsigned k) const;
 
@@ -186,7 +184,7 @@ class FaultPlan
     };
 
     /** The full fired-fault schedule, processor-major, position order.
-     * Bit-identical across engines and host thread counts. */
+     * Bit-identical across reruns. */
     std::vector<Event> schedule() const;
 
     struct Counters

@@ -10,9 +10,8 @@
 #include "sim/arena.hh"
 #include "sim/check.hh"
 #include "sim/error.hh"
+#include "sim/fault.hh"
 #include "sim/hierarchy.hh"
-#include "sim/machine_impl.hh"
-#include "sim/par_engine.hh"
 
 namespace dss {
 namespace sim {
@@ -232,57 +231,8 @@ Machine::applyStoreDir(ProcId p, Addr l2_line, WordMask wmask)
     e.state = Directory::State::Dirty;
     e.owner = p;
     e.sharers = bit(p);
-    // Re-assert the owner's dirty bit. The write path set it in the
-    // same step under the sequential engine (no-op there), but under
-    // the parallel engine this op replays at the barrier, where an
-    // interleaved remote ReadFill may have downgraded the copy to clean
-    // after the eager phase-A cache update.
-    Node &n = *nodes_[p];
-    if (n.coh().contains(l2_line))
-        n.coh().markDirty(l2_line);
     if (sharing_)
         sharing_->recordStore(p, l2_line, wmask);
-}
-
-void
-Machine::reconcileDirAfterBarrier(Addr l2_line)
-{
-    // Parallel-engine barrier replay applies directory ops in serialized
-    // order while the caches were updated eagerly in phase A, so the two
-    // can cross: a replayed remote store invalidates a copy whose fill
-    // or sharer-bit op replays afterwards, leaving the directory naming
-    // copies that no longer exist. Re-derive the entry from the caches —
-    // the ground truth — once the barrier has fully drained. Sequential
-    // runs never call this: their directory ops are applied in-step.
-    Directory::Entry &e = dir_.entry(l2_line);
-    std::uint64_t holders = 0;
-    for (ProcId p = 0; p < static_cast<ProcId>(nodes_.size()); ++p)
-        if (nodes_[p]->coh().contains(l2_line))
-            holders |= bit(p);
-    switch (e.state) {
-      case Directory::State::Dirty:
-        if (!(holders & bit(e.owner))) {
-            // The owner's copy was invalidated by an earlier-serialized
-            // store after its own fill had already applied. Remaining
-            // clean copies keep the line Shared; otherwise the line
-            // falls back to memory.
-            e.state = holders ? Directory::State::Shared
-                              : Directory::State::Uncached;
-            e.sharers = holders;
-        }
-        break;
-      case Directory::State::Shared:
-        e.sharers &= holders;
-        if (e.sharers == 0)
-            e.state = Directory::State::Uncached;
-        break;
-      case Directory::State::Uncached:
-        if (holders) {
-            e.state = Directory::State::Shared;
-            e.sharers = holders;
-        }
-        break;
-    }
 }
 
 void
@@ -353,6 +303,409 @@ Machine::statsSnapshot(std::size_t n) const
 }
 
 void
+Machine::fillCoherent(ProcId p, Addr addr, bool dirty)
+{
+    Node &n = *nodes_[p];
+    Cache::Victim v = n.coh().fill(addr, dirty);
+    if (!v.valid)
+        return;
+    // Inclusion: no upper level may keep sublines of an evicted
+    // coherent-level line.
+    invalidateUpperLevels(p, v.lineAddr, /*coherence=*/false);
+    dropFromDirectory(p, v.lineAddr);
+    if (v.dirty) {
+        // Background writeback occupies the victim's home controller but
+        // does not stall the processor.
+        dir_.acquireController(dir_.homeOf(v.lineAddr),
+                               runs_.empty() ? 0 : runs_[p].clock);
+    }
+}
+
+void
+Machine::faultEvict(ProcId p, Addr addr)
+{
+    Node &n = *nodes_[p];
+    const Addr l2_line = n.coh().lineAddrOf(addr);
+    if (!n.coh().contains(l2_line))
+        return;
+    n.coh().invalidate(l2_line, /*coherence=*/false);
+    invalidateUpperLevels(p, l2_line, /*coherence=*/false);
+    // Keep the directory agreeing with the caches — the invariant
+    // checker must see no difference between injected and organic
+    // evictions.
+    dropFromDirectory(p, l2_line);
+}
+
+Machine::ReadOutcome
+Machine::readAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
+{
+    Node &n = *nodes_[p];
+    ProcRun &r = runs_[p];
+    ProcStats &st = r.stats;
+    const std::size_t nlev = nlev_;
+    const Addr l1_line = n.l1().lineAddrOf(addr);
+    const Addr l2_line = n.coh().lineAddrOf(addr);
+
+    ++st.reads;
+
+    // Loads are satisfied by a matching store still in the write buffer.
+    if (n.wb.containsLine(l1_line, r.clock)) {
+        ++st.l1Hits();
+        return {cfg_.lat.l1Hit};
+    }
+
+    if (n.l1().access(addr)) {
+        ++st.l1Hits();
+        if (!n.prefetched.empty()) {
+            auto pf = n.prefetched.find(l1_line);
+            if (pf != n.prefetched.end()) {
+                ++st.prefetchesUseful;
+                // The prefetch may still be in flight: wait out the
+                // remainder.
+                Cycles extra =
+                    pf->second > r.clock ? pf->second - r.clock : 0;
+                n.prefetched.erase(pf);
+                return {cfg_.lat.l1Hit + extra};
+            }
+        }
+        return {cfg_.lat.l1Hit};
+    }
+
+    st.l1Misses().add(cls, n.l1().classifyMiss(addr));
+    ++st.l2Accesses();
+
+    // Walk the intermediate levels (none on a two-level chain). A hit
+    // there is a clean local copy under strict inclusion: no directory
+    // work, just the level's round trip.
+    std::size_t hit_lvl = 0;
+    for (std::size_t lvl = 1; lvl + 1 < nlev; ++lvl) {
+        if (lvl > 1)
+            ++st.levelAccesses[lvl];
+        if (n.caches[lvl].access(addr)) {
+            ++st.levelHits[lvl];
+            hit_lvl = lvl;
+            break;
+        }
+        st.levelMisses[lvl].add(cls, n.caches[lvl].classifyMiss(addr));
+    }
+
+    Cycles latency;
+    if (hit_lvl) {
+        latency = levelHitLat_[hit_lvl];
+        fillIntermediates(p, addr); // refill the levels above the hit
+    } else {
+        if (nlev > 2)
+            ++st.levelAccesses[nlev - 1];
+        if (n.coh().access(addr)) {
+            ++st.levelHits[nlev - 1];
+            latency = levelHitLat_[nlev - 1];
+        } else {
+            const MissType mt = n.coh().classifyMiss(addr);
+            st.levelMisses[nlev - 1].add(cls, mt);
+            if (sharing_ && mt == MissType::Cohe)
+                classifyCoheMiss(st, p, addr, size, l2_line);
+            const Directory::Entry v = dir_.entry(l2_line);
+            const ProcId home = dir_.homeOf(l2_line);
+            const bool dirty_else =
+                v.state == Directory::State::Dirty && v.owner != p;
+            st.hopsByGroup[static_cast<std::size_t>(groupOf(cls))]
+                          [Directory::hopClass(p, home, v.owner,
+                                               dirty_else)]++;
+            const Cycles qdelay = dir_.acquireController(home, r.clock);
+            latency =
+                dir_.transactionLatency(p, home, v.owner, dirty_else) +
+                qdelay;
+            applyReadFillDir(p, l2_line);
+            fillCoherent(p, addr, /*dirty=*/false);
+        }
+        if (nlev > 2)
+            fillIntermediates(p, addr);
+    }
+    fillL1(p, addr);
+
+    // Sequential prefetch, triggered by primary-cache read misses on
+    // database data: fetch the next prefetchDegree L1 lines into the L1
+    // (paper Section 6). Miss-triggered issue reproduces the paper's
+    // measured effectiveness — prefetching removes about a third of the
+    // Data stall rather than hiding the whole stream.
+    if (cfg_.prefetchData && cls == DataClass::Data)
+        issuePrefetches(p, addr);
+
+    return {latency};
+}
+
+Cycles
+Machine::writeTransaction(ProcId p, Addr addr, DataClass cls,
+                          unsigned size)
+{
+    Node &n = *nodes_[p];
+    ProcRun &r = runs_[p];
+    const Addr l2_line = n.coh().lineAddrOf(addr);
+    const Directory::Entry v = dir_.entry(l2_line);
+    const ProcId home = dir_.homeOf(l2_line);
+    const auto grp = static_cast<std::size_t>(groupOf(cls));
+
+    Cycles drain;
+    if (n.coh().contains(l2_line)) {
+        if (v.state == Directory::State::Dirty && v.owner == p) {
+            // Already exclusively owned: drain straight into the
+            // coherent level.
+            drain = cohHitLat_;
+        } else {
+            // Upgrade: invalidate the other sharers via the home node.
+            r.stats.hopsByGroup[grp]
+                [Directory::hopClass(p, home, p, false)]++;
+            const Cycles qdelay = dir_.acquireController(home, r.clock);
+            drain = dir_.transactionLatency(p, home, p, false) + qdelay;
+        }
+        n.coh().access(addr, /*set_dirty=*/true);
+    } else {
+        // Write-allocate miss: obtain an exclusive copy. Stores allocate
+        // only at the coherence point; intermediate levels are read-side
+        // structures and pick the line up on the next read miss.
+        const bool dirty_else =
+            v.state == Directory::State::Dirty && v.owner != p;
+        r.stats.hopsByGroup[grp]
+            [Directory::hopClass(p, home, v.owner, dirty_else)]++;
+        const Cycles qdelay = dir_.acquireController(home, r.clock);
+        drain = dir_.transactionLatency(p, home, v.owner, dirty_else) +
+                qdelay;
+        fillCoherent(p, addr, /*dirty=*/true);
+    }
+    applyStoreDir(p, l2_line,
+                  sharing_ ? wordMaskOf(addr, size, l2_line,
+                                        cfg_.coherent().lineBytes)
+                           : WordMask{0});
+
+    // The store (re)established exclusive ownership: any pending upper-
+    // level coherence marks on this line's sublines are repaid by this
+    // very transaction. The write-through L1 never allocates on a store,
+    // so without this the next read of an invalidated subline — a hit on
+    // our own fresh exclusive copy — would classify Cohe a second time,
+    // double-counting the upgrade.
+    for (std::size_t u = 0; u + 1 < n.caches.size(); ++u)
+        for (Addr a = l2_line; a < l2_line + cfg_.coherent().lineBytes;
+             a += cfg_.levels[u].lineBytes)
+            n.caches[u].clearCoherenceMark(a);
+
+    // Upper levels stay write-through: a resident line is updated in
+    // place (stays valid); a missing line is not allocated.
+    for (std::size_t u = 0; u + 1 < n.caches.size(); ++u)
+        n.caches[u].access(addr);
+    return drain;
+}
+
+Cycles
+Machine::rmwAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
+{
+    Node &n = *nodes_[p];
+    ProcRun &r = runs_[p];
+    ProcStats &st = r.stats;
+    const std::size_t nlev = nlev_;
+    const Addr l2_line = n.coh().lineAddrOf(addr);
+
+    ++st.reads;
+    const bool l1hit = n.l1().access(addr);
+    if (l1hit) {
+        ++st.l1Hits();
+    } else {
+        st.l1Misses().add(cls, n.l1().classifyMiss(addr));
+        ++st.l2Accesses();
+        // Intermediate-level bookkeeping: the lookup passes through on
+        // its way to the coherence point, where the atomic resolves.
+        for (std::size_t lvl = 1; lvl + 1 < nlev; ++lvl) {
+            if (lvl > 1)
+                ++st.levelAccesses[lvl];
+            if (n.caches[lvl].access(addr)) {
+                ++st.levelHits[lvl];
+                break;
+            }
+            st.levelMisses[lvl].add(cls,
+                                    n.caches[lvl].classifyMiss(addr));
+        }
+        if (nlev > 2)
+            ++st.levelAccesses[nlev - 1];
+    }
+
+    const Directory::Entry v = dir_.entry(l2_line);
+    const ProcId home = dir_.homeOf(l2_line);
+    const bool l2has = n.coh().contains(l2_line);
+
+    Cycles latency;
+    if (l2has && v.state == Directory::State::Dirty && v.owner == p) {
+        // Exclusive at our coherent level: the atomic completes there.
+        if (!l1hit)
+            ++st.levelHits[nlev - 1];
+        n.coh().access(addr, /*set_dirty=*/true);
+        latency = cohHitLat_;
+    } else {
+        if (!l2has && !l1hit) {
+            const MissType mt = n.coh().classifyMiss(addr);
+            st.levelMisses[nlev - 1].add(cls, mt);
+            if (sharing_ && mt == MissType::Cohe)
+                classifyCoheMiss(st, p, addr, size, l2_line);
+        }
+        const bool dirty_else =
+            v.state == Directory::State::Dirty && v.owner != p;
+        st.hopsByGroup[static_cast<std::size_t>(groupOf(cls))]
+                      [Directory::hopClass(p, home, v.owner, dirty_else)]++;
+        const Cycles qdelay = dir_.acquireController(home, r.clock);
+        latency = dir_.transactionLatency(p, home, v.owner, dirty_else) +
+                  qdelay;
+        if (l2has)
+            n.coh().access(addr, /*set_dirty=*/true);
+        else
+            fillCoherent(p, addr, /*dirty=*/true);
+        applyStoreDir(p, l2_line,
+                      sharing_ ? wordMaskOf(addr, size, l2_line,
+                                            cfg_.coherent().lineBytes)
+                               : WordMask{0});
+        // Same repayment rule as writeTransaction: the RMW acquired
+        // exclusive ownership, so pending upper-level coherence marks on
+        // the line's sublines are settled by this transaction.
+        for (std::size_t u = 0; u + 1 < nlev; ++u)
+            for (Addr a = l2_line; a < l2_line + cfg_.coherent().lineBytes;
+                 a += cfg_.levels[u].lineBytes)
+                n.caches[u].clearCoherenceMark(a);
+    }
+    if (!l1hit) {
+        if (nlev > 2)
+            fillIntermediates(p, addr);
+        fillL1(p, addr);
+    }
+    return latency;
+}
+
+void
+Machine::issuePrefetches(ProcId p, Addr addr)
+{
+    Node &n = *nodes_[p];
+    ProcRun &r = runs_[p];
+    const Addr l1_line = n.l1().lineAddrOf(addr);
+    Cycles issue = r.clock;
+    for (unsigned i = 1; i <= cfg_.prefetchDegree; ++i) {
+        const Addr a = l1_line + i * cfg_.l1().lineBytes;
+        if (n.l1().contains(a))
+            continue;
+        const Addr l2_line = n.coh().lineAddrOf(a);
+        Cycles ready = issue + cohHitLat_;
+        if (!n.coh().contains(l2_line)) {
+            const Directory::Entry v = dir_.entry(l2_line);
+            if (v.state == Directory::State::Dirty && v.owner != p)
+                continue; // keep the prefetcher out of dirty remote lines
+            // The fetch occupies the home controller (contention) but the
+            // processor does not wait for it.
+            const ProcId home = dir_.homeOf(l2_line);
+            const Cycles qdelay = dir_.acquireController(home, issue);
+            ready = issue + qdelay +
+                    dir_.transactionLatency(p, home, v.owner, false);
+            applyPrefetchShareDir(p, l2_line);
+            fillCoherent(p, a, /*dirty=*/false);
+        }
+        if (nlev_ > 2)
+            fillIntermediates(p, a);
+        fillL1(p, a);
+        n.prefetched[n.l1().lineAddrOf(a)] = ready;
+        // Prefetches leave the node back to back, one per miss-port slot.
+        issue += cfg_.lat.controllerOccupancy;
+        ++r.stats.prefetchesIssued;
+    }
+}
+
+void
+Machine::doRead(ProcId p, const TraceEntry &e)
+{
+    ProcRun &r = runs_[p];
+    Cycles injected = 0;
+    if (fault_) {
+        // Decisions are keyed on (proc, trace position): replay visits
+        // each Read position exactly once, so the schedule is
+        // independent of the interleaving.
+        if (fault_->evictAt(p, r.pos))
+            faultEvict(p, e.addr);
+        injected = fault_->readDelay(p, r.pos);
+    }
+    ReadOutcome o = readAccess(p, e.addr, e.cls, e.size);
+    const Cycles stall =
+        (o.latency > cfg_.lat.l1Hit ? o.latency - cfg_.lat.l1Hit : 0) +
+        injected;
+    r.stats.busy += cfg_.issueCyclesPerRef;
+    r.stats.memStall += stall;
+    r.stats.memStallByGroup[static_cast<std::size_t>(groupOf(e.cls))] +=
+        stall;
+    span(p, obs::SpanKind::Busy, r.clock, r.clock + cfg_.issueCyclesPerRef);
+    span(p, obs::SpanKind::Mem, r.clock + cfg_.issueCyclesPerRef,
+         r.clock + cfg_.issueCyclesPerRef + stall);
+    r.clock += cfg_.issueCyclesPerRef + stall;
+}
+
+void
+Machine::doWrite(ProcId p, const TraceEntry &e)
+{
+    Node &n = *nodes_[p];
+    ProcRun &r = runs_[p];
+    ++r.stats.writes;
+    r.stats.busy += cfg_.issueCyclesPerRef;
+    span(p, obs::SpanKind::Busy, r.clock, r.clock + cfg_.issueCyclesPerRef);
+    r.clock += cfg_.issueCyclesPerRef;
+
+    const Cycles drain = writeTransaction(p, e.addr, e.cls, e.size);
+    const Cycles stall =
+        n.wb.push(r.clock, drain, n.l1().lineAddrOf(e.addr));
+    if (stall) {
+        ++r.stats.wbOverflows;
+        r.stats.memStall += stall;
+        r.stats.memStallByGroup[static_cast<std::size_t>(groupOf(e.cls))] +=
+            stall;
+        span(p, obs::SpanKind::Mem, r.clock, r.clock + stall);
+        r.clock += stall;
+    }
+    if (fault_) {
+        // WbStall storm: the buffer's drain path is congested and the
+        // processor stalls as if it had overflowed.
+        const Cycles extra = fault_->wbStall(p, r.pos);
+        if (extra) {
+            r.stats.memStall += extra;
+            r.stats.memStallByGroup[static_cast<std::size_t>(
+                groupOf(e.cls))] += extra;
+            span(p, obs::SpanKind::Mem, r.clock, r.clock + extra);
+            r.clock += extra;
+        }
+    }
+}
+
+void
+Machine::preemptRelease(ProcId p)
+{
+    if (!fault_)
+        return;
+    ProcRun &r = runs_[p];
+    const Cycles stretch = fault_->holdStretch(p, r.pos);
+    if (!stretch)
+        return;
+    // The holder is "preempted" just before its release store: the
+    // critical section stretches and every spinner keeps spinning. The
+    // stretch is the holder's own synchronization cost.
+    r.stats.syncStall += stretch;
+    span(p, obs::SpanKind::Sync, r.clock, r.clock + stretch);
+    r.clock += stretch;
+}
+
+void
+Machine::doBusy(ProcId p, const TraceEntry &e)
+{
+    ProcRun &r = runs_[p];
+    r.stats.busy += e.extra;
+    // Untraced private stack/static references ride along with the
+    // busy instructions and always hit (paper Section 4.2, about one
+    // reference per four instructions); count them so miss rates
+    // share the paper's denominator.
+    r.stats.assumedHitReads += e.extra / 4;
+    span(p, obs::SpanKind::Busy, r.clock, r.clock + e.extra);
+    r.clock += e.extra;
+}
+
+void
 Machine::doLockAcq(ProcId p, const TraceEntry &e)
 {
     ProcRun &r = runs_[p];
@@ -394,8 +747,7 @@ Machine::doLockAcq(ProcId p, const TraceEntry &e)
 
     // Phase 1: the test&set itself — an exclusive access to the lock word.
     // Its stall is memory time on metadata; only spinning is MSync.
-    SeqPort port{*this};
-    const Cycles lat = rmwAccessT(port, p, w, e.cls, e.size);
+    const Cycles lat = rmwAccess(p, w, e.cls, e.size);
     const Cycles stall =
         lat > cfg_.lat.l1Hit ? lat - cfg_.lat.l1Hit : 0;
     r.stats.busy += cfg_.issueCyclesPerRef;
@@ -414,14 +766,13 @@ Machine::doLockRel(ProcId p, const TraceEntry &e)
 {
     // The release store goes through the write buffer like any other store
     // and invalidates the spinners' cached copies of the lock word.
-    SeqPort port{*this};
-    preemptReleaseT(port, p);
-    doWriteT(port, p, e);
+    preemptRelease(p);
+    doWrite(p, e);
     releaseLock(p, e, runs_[p].clock);
     ++runs_[p].pos;
 }
 
-ProcId
+void
 Machine::releaseLock(ProcId p, const TraceEntry &e, Cycles rel_clock)
 {
     if (timeline_) {
@@ -446,7 +797,6 @@ Machine::releaseLock(ProcId p, const TraceEntry &e, Cycles rel_clock)
         w.clock = wake;
         w.blocked = false;
     }
-    return next;
 }
 
 void
@@ -460,18 +810,17 @@ void
 Machine::stepEntry(ProcId p, const TraceEntry &e)
 {
     ProcRun &r = runs_[p];
-    SeqPort port{*this};
     switch (e.op) {
       case Op::Read:
-        doReadT(port, p, e);
+        doRead(p, e);
         ++r.pos;
         break;
       case Op::Write:
-        doWriteT(port, p, e);
+        doWrite(p, e);
         ++r.pos;
         break;
       case Op::Busy:
-        doBusyT(port, p, e);
+        doBusy(p, e);
         ++r.pos;
         break;
       case Op::LockAcq:
@@ -511,8 +860,7 @@ void
 Machine::modelEvict(ProcId p, Addr addr)
 {
     assert(p < runs_.size() && "beginModelSteps() before modelEvict()");
-    SeqPort port{*this};
-    faultEvictT(port, p, addr);
+    faultEvict(p, addr);
 }
 
 void
@@ -527,14 +875,6 @@ Machine::setProcWaitState(ProcId p, bool blocked, bool acq_pending)
 SimStats
 Machine::run(const std::vector<const TraceStream *> &traces,
              obs::Sampler *sampler, obs::Timeline *timeline)
-{
-    return run(traces, EngineConfig::seq(), sampler, timeline);
-}
-
-SimStats
-Machine::run(const std::vector<const TraceStream *> &traces,
-             const EngineConfig &engine, obs::Sampler *sampler,
-             obs::Timeline *timeline)
 {
     if (traces.size() > cfg_.nprocs)
         throw std::invalid_argument("more traces than processors");
@@ -551,10 +891,9 @@ Machine::run(const std::vector<const TraceStream *> &traces,
     for (auto &n : nodes_)
         n->wb.reset();
 
-    // Resolve page homes before either engine starts: the flat table is
-    // immutable for the whole run, so the parallel engine's phase-A
-    // workers read it without synchronization, and first-touch claims
-    // (a pure function of the traces) are engine-invariant.
+    // Resolve page homes before replay starts: the flat table is
+    // immutable for the whole run, and first-touch claims are a pure
+    // function of the traces.
     placement_->beginRun(traces);
 
     sampler_ = sampler;
@@ -568,12 +907,7 @@ Machine::run(const std::vector<const TraceStream *> &traces,
         fault_->beginRun();
 
     try {
-        if (engine.kind == EngineKind::Seq) {
-            runSeq(traces.size());
-        } else {
-            ParEngine par(*this, engine);
-            par.run(traces.size());
-        }
+        runSeq(traces.size());
     } catch (...) {
         // Never leave dangling observer pointers behind an unwinding
         // run (SimError from a simulated deadlock).
@@ -613,7 +947,7 @@ Machine::runSeq(std::size_t nrun)
         if (best == cfg_.nprocs) {
             for (ProcId p = 0; p < cfg_.nprocs; ++p)
                 if (!runs_[p].done())
-                    throwDeadlock("seq");
+                    throwDeadlock();
             break;
         }
         // The chosen processor holds the minimum runnable clock: once it
@@ -625,11 +959,10 @@ Machine::runSeq(std::size_t nrun)
 }
 
 void
-Machine::throwDeadlock(const char *engine) const
+Machine::throwDeadlock() const
 {
     obs::Json dump = obs::Json::object();
     dump["error"] = "deadlock";
-    dump["engine"] = engine;
     obs::Json procs = obs::Json::array();
     for (ProcId p = 0; p < cfg_.nprocs; ++p) {
         const ProcRun &r = runs_[p];
@@ -676,9 +1009,8 @@ Machine::throwDeadlock(const char *engine) const
         locks.push(std::move(lj));
     }
     dump["locks"] = std::move(locks);
-    throw SimError(std::string("simulated deadlock (") + engine +
-                       " engine): every live processor is blocked on a "
-                       "metalock",
+    throw SimError("simulated deadlock: every live processor is blocked "
+                   "on a metalock",
                    std::move(dump));
 }
 

@@ -33,7 +33,6 @@
 #include "sim/addr.hh"
 #include "sim/cache.hh"
 #include "sim/directory.hh"
-#include "sim/engine.hh"
 #include "sim/hierarchy.hh"
 #include "sim/sharing.hh"
 #include "sim/spinlock_model.hh"
@@ -109,7 +108,6 @@ struct MachineConfig
                                  std::size_t l2_bytes) const;
 };
 
-class ParEngine;
 class FaultPlan;
 class InvariantChecker;
 
@@ -135,18 +133,6 @@ class Machine
                  obs::Sampler *sampler = nullptr,
                  obs::Timeline *timeline = nullptr);
 
-    /**
-     * Same, with an explicit engine: EngineKind::Seq replays in exact
-     * simulated-time order on the calling thread; EngineKind::Par shards
-     * the processor pipelines across host threads in deterministic
-     * barrier-synchronized windows (see sim/engine.hh). The parallel
-     * engine's output is bit-identical for any thread count.
-     */
-    SimStats run(const std::vector<const TraceStream *> &traces,
-                 const EngineConfig &engine,
-                 obs::Sampler *sampler = nullptr,
-                 obs::Timeline *timeline = nullptr);
-
     /** Cold-start: drop caches, directory state and classification. */
     void resetMemoryState();
 
@@ -167,7 +153,7 @@ class Machine
      * Attach a deterministic fault plan (sim/fault.hh). The plan must
      * outlive the machine's use of it; pass nullptr to detach. Decisions
      * are keyed on per-processor trace positions, so the same plan
-     * replays identically under both engines.
+     * replays identically on every rerun.
      */
     void setFaultPlan(FaultPlan *plan) { fault_ = plan; }
 
@@ -181,7 +167,7 @@ class Machine
     /**
      * Attach a page-placement policy (sim/placement.hh, the --placement
      * flag). Borrowed and mutable: run() calls its beginRun() hook so
-     * first-touch claims resolve before either engine starts. Pass
+     * first-touch claims resolve before replay starts. Pass
      * nullptr to return to the machine's own default interleave policy
      * (bit-identical to the historical hardwired rule).
      */
@@ -255,7 +241,7 @@ class Machine
 
     /**
      * Drive one synthesized trace entry through the real access
-     * pipelines on the sequential port. Requires beginModelSteps().
+     * pipelines. Requires beginModelSteps().
      * LockAcq entries keep their two-phase semantics: one call runs one
      * phase (test&set transaction, then the grab/spin decision), exactly
      * as one runSeq() step would.
@@ -270,7 +256,7 @@ class Machine
      * completed test&set) when reconstructing a mid-protocol state. */
     void setProcWaitState(ProcId p, bool blocked, bool acq_pending);
 
-    /** The engine's blocked-spinner flag for @p p (const view). */
+    /** The blocked-spinner flag for @p p (const view). */
     bool procBlocked(ProcId p) const { return runs_.at(p).blocked; }
     /** The two-phase acquire continuation flag for @p p (const view). */
     bool procAcqPending(ProcId p) const { return runs_.at(p).acqPending; }
@@ -346,41 +332,28 @@ class Machine
     };
 
     /**
-     * The memory-access pipelines are templates over a Port — the seam
-     * between a processor's own node state (always mutated directly) and
-     * the *shared* state (directory entries, home-controller occupancy,
-     * timeline spans). SeqPort reads and mutates the shared state in
-     * place, which reproduces the reference engine exactly; the parallel
-     * engine's port reads a frozen window snapshot and parks mutations in
-     * a per-processor mailbox for the barrier to apply in deterministic
-     * order. Bodies live in machine_impl.hh (included by machine.cc and
-     * par_engine.cc only).
+     * The memory-access pipelines. A processor's own node state (caches,
+     * write buffer, prefetch table, ProcRun clock and stats) and the
+     * shared state (directory entries, home-controller occupancy,
+     * timeline spans) are both read and mutated in place, in exact
+     * simulated-time order.
      */
-    struct SeqPort;
-
-    template <typename Port>
-    ReadOutcome readAccessT(Port &port, ProcId p, Addr addr, DataClass cls,
-                            unsigned size);
+    ReadOutcome readAccess(ProcId p, Addr addr, DataClass cls, unsigned size);
 
     /**
      * Apply the coherence state changes of a store and return the drain
      * latency of its write-buffer transaction.
      */
-    template <typename Port>
-    Cycles writeTransactionT(Port &port, ProcId p, Addr addr, DataClass cls,
-                             unsigned size);
+    Cycles writeTransaction(ProcId p, Addr addr, DataClass cls, unsigned size);
 
     /**
      * Atomic read-modify-write on a lock word (test&set): acquires
      * exclusive ownership, the processor waits for completion.
      * @return total latency including the issue cycle.
      */
-    template <typename Port>
-    Cycles rmwAccessT(Port &port, ProcId p, Addr addr, DataClass cls,
-                      unsigned size);
+    Cycles rmwAccess(ProcId p, Addr addr, DataClass cls, unsigned size);
 
-    template <typename Port>
-    void issuePrefetchesT(Port &port, ProcId p, Addr addr);
+    void issuePrefetches(ProcId p, Addr addr);
 
     /**
      * Fill the coherent (last) level, evicting its LRU victim: upper
@@ -388,14 +361,12 @@ class Machine
      * directory drops the copy, and a dirty victim writes back in the
      * background.
      */
-    template <typename Port>
-    void fillCoherentT(Port &port, ProcId p, Addr addr, bool dirty);
+    void fillCoherent(ProcId p, Addr addr, bool dirty);
 
     /** Fault hook: force-evict the coherent line of @p addr (plus its
      * upper-level sublines) from p's own caches, keeping the directory in
      * sync. */
-    template <typename Port>
-    void faultEvictT(Port &port, ProcId p, Addr addr);
+    void faultEvict(ProcId p, Addr addr);
 
     void fillL1(ProcId p, Addr addr);
 
@@ -419,10 +390,9 @@ class Machine
     void dropFromDirectory(ProcId p, Addr l2_line);
 
     /**
-     * Shared-state mutation operators. Each takes only (processor, line)
-     * and re-derives its decisions from the live directory entry, so the
-     * parallel engine can replay parked mutations at the barrier and land
-     * in exactly the state the sequential engine would have produced.
+     * Directory mutation operators of a read fill, a store and a
+     * prefetch. Each takes only (processor, line) and derives its
+     * decisions from the live directory entry.
      */
     void applyReadFillDir(ProcId p, Addr l2_line);
     void applyStoreDir(ProcId p, Addr l2_line, WordMask wmask);
@@ -431,52 +401,36 @@ class Machine
     /**
      * Split-classify an L2 coherence miss into true/false sharing. Only
      * called from the pipelines' (rare) Cohe miss branches, and a no-op
-     * unless enableSharing is on. Reads the tracker without mutating it,
-     * so phase-A workers may call it against the masks frozen at the
-     * last barrier.
+     * unless enableSharing is on. Reads the tracker without mutating it.
      */
     void classifyCoheMiss(ProcStats &st, ProcId p, Addr addr, unsigned size,
                           Addr l2_line) const;
-
-    /**
-     * Re-derive a directory entry from the caches after a parallel
-     * barrier has replayed every parked op on @p l2_line. Replayed
-     * invalidations can land after the eager phase-A fill they target,
-     * leaving the entry naming copies that no longer exist; the caches
-     * are the ground truth. Sequential runs never need this.
-     */
-    void reconcileDirAfterBarrier(Addr l2_line);
 
     void step(ProcId p);
     /** Dispatch one explicit entry through the pipelines (step() body;
      * also the modelStep() entry point, where @p e is synthesized). */
     void stepEntry(ProcId p, const TraceEntry &e);
-    template <typename Port>
-    void doReadT(Port &port, ProcId p, const TraceEntry &e);
-    template <typename Port>
-    void doWriteT(Port &port, ProcId p, const TraceEntry &e);
-    template <typename Port>
-    void doBusyT(Port &port, ProcId p, const TraceEntry &e);
+    void doRead(ProcId p, const TraceEntry &e);
+    void doWrite(ProcId p, const TraceEntry &e);
+    void doBusy(ProcId p, const TraceEntry &e);
     /** Fault hook: apply a LockPreempt hold-time stretch (if the plan
      * schedules one for this release) before the release store. */
-    template <typename Port>
-    void preemptReleaseT(Port &port, ProcId p);
+    void preemptRelease(ProcId p);
 
     void doLockAcq(ProcId p, const TraceEntry &e);
     void doLockRel(ProcId p, const TraceEntry &e);
     /**
      * Release half of doLockRel: hand off the metalock and wake spinners
      * (the store half already ran).
-     * @return the woken waiter, or LockTable::kNoWaiter.
      */
-    ProcId releaseLock(ProcId p, const TraceEntry &e, Cycles rel_clock);
+    void releaseLock(ProcId p, const TraceEntry &e, Cycles rel_clock);
 
-    /** The reference engine: global min-(clock, procid) replay. */
+    /** Global min-(clock, procid) replay of the first @p nrun traces. */
     void runSeq(std::size_t nrun);
 
     /** Unwind with a SimError dumping every processor's state and the
      * metalock table (simulated deadlock: all live processors blocked). */
-    [[noreturn]] void throwDeadlock(const char *engine) const;
+    [[noreturn]] void throwDeadlock() const;
 
     /** Timeline helper: emit [start, end) of @p k on @p p if attached. */
     void span(ProcId p, obs::SpanKind k, Cycles start, Cycles end);
@@ -508,7 +462,6 @@ class Machine
     /** Metalock word -> cycle its current hold began (timeline only). */
     std::unordered_map<Addr, Cycles> holdStart_;
 
-    friend class ParEngine;
     friend class InvariantChecker;
 };
 

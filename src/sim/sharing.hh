@@ -12,12 +12,10 @@
  * remotely-written words).
  *
  * Determinism: the masks are mutated exclusively by the Machine's
- * serialized shared-state operators (applyStoreDir / applyReadFillDir /
- * applyPrefetchShareDir), which the sequential engine calls in replay
- * order and the parallel engine calls in the totally-ordered phase-B
- * barrier. Phase-A readers observe masks frozen at the last barrier —
- * exactly the same view they have of the directory — so classification is
- * bit-identical across engines' own replays and across thread counts.
+ * directory operators (applyStoreDir / applyReadFillDir /
+ * applyPrefetchShareDir), which run in replay order alongside the
+ * directory updates they shadow, so classification is bit-identical
+ * across reruns.
  *
  * Cost: one unordered_map entry (nprocs x 8 bytes) per line that has ever
  * been written while shared. The tracker is only instantiated when the
@@ -66,7 +64,6 @@ class SharingTracker
     /**
      * A store by @p p dirtied @p wmask words of @p line: those words go
      * stale for every other processor; p itself now holds fresh data.
-     * Serialized (phase B / sequential replay) only.
      */
     void
     recordStore(ProcId p, Addr line, WordMask wmask)
@@ -80,7 +77,6 @@ class SharingTracker
     /**
      * Processor @p p (re)obtained a valid copy of @p line (read fill,
      * prefetch share, or write allocate): nothing is stale for it anymore.
-     * Serialized (phase B / sequential replay) only.
      */
     void
     recordFill(ProcId p, Addr line)
@@ -92,7 +88,7 @@ class SharingTracker
 
     /**
      * Would a coherence miss by @p p on words @p wmask of @p line be true
-     * sharing? Safe from phase A: between barriers the map is frozen.
+     * sharing? Read-only.
      */
     bool
     isTrueSharing(ProcId p, Addr line, WordMask wmask) const

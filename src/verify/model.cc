@@ -330,7 +330,7 @@ ProtocolModel::enumerate(const AbstractState &s,
     for (sim::ProcId p = 0; p < g_.nprocs; ++p) {
         switch (s.cont[p]) {
           case Cont::Blocked:
-            continue; // spinning: the engine issues nothing for it
+            continue; // spinning: the machine issues nothing for it
           case Cont::MidAcq:
           case Cont::Granted:
             // The acquire is this processor's current trace entry; its
@@ -453,8 +453,7 @@ ProtocolModel::applyMutant(const AbstractState &pre, const Event &ev)
         return;
       case Mutant::SkipOwnerDirty:
         // The store's directory entry says Dirty/owner, but the owning
-        // cache forgets to assert the dirty bit (the very bug the
-        // parallel-engine barrier replay once had).
+        // cache forgets to assert the dirty bit.
         if (ev.kind != EvKind::Store)
             return;
         if (m_.l2(ev.proc).contains(la))
@@ -540,7 +539,7 @@ ProtocolModel::extract(const AbstractState &pre, const Event &ev) const
         if (info.word == g_.lockWord)
             s.waiters.assign(info.waiters.begin(), info.waiters.end());
 
-    // Lock continuations: Blocked/MidAcq mirror the engine flags; the
+    // Lock continuations: Blocked/MidAcq mirror the machine flags; the
     // Granted/Holding/Idle bookkeeping follows from which event ran.
     s.cont.resize(g_.nprocs);
     for (sim::ProcId p = 0; p < g_.nprocs; ++p) {
@@ -611,7 +610,7 @@ ProtocolModel::traces(const std::vector<Event> &events)
             break;
           case EvKind::LockAcq:
             // One LockAcq entry covers the whole multi-phase episode;
-            // the engine replays the later phases (and any post-wake
+            // the machine replays the later phases (and any post-wake
             // re-execution) against this same entry.
             if (!inAcq[p]) {
                 out[p].record(sim::TraceEntry::lockAcq(

@@ -5,8 +5,9 @@
  *  - Deliberately corrupted machine state must flag exactly the invariant
  *    that was broken (a checker that can't see planted bugs is useless).
  *  - Unperturbed runs — real TPC-D queries and a 50-seed fuzz over
- *    randomized traces — must produce zero violations on both engines,
- *    and enabling the checker must not change a single statistic.
+ *    randomized traces — must produce zero violations and replay
+ *    identically, and enabling the checker must not change a single
+ *    statistic.
  */
 
 #include <random>
@@ -159,39 +160,55 @@ TEST(CheckerClean, HeadlineQueriesHaveZeroViolationsOnBothEngines)
     for (tpcd::QueryId q :
          {tpcd::QueryId::Q3, tpcd::QueryId::Q6, tpcd::QueryId::Q12}) {
         harness::TraceSet traces = wl.trace(q);
-        for (const EngineConfig &engine :
-             {EngineConfig::seq(), EngineConfig::par()}) {
-            // Baseline: checker off.
-            harness::RunOptions plain;
-            plain.engine = engine;
-            const std::string base =
-                obs::toJson(harness::runCold(cfg, traces, plain)).dump(2);
+        // Baseline: checker off.
+        const std::string base =
+            obs::toJson(harness::runCold(cfg, traces)).dump(2);
 
-            // Checker on: zero violations, byte-identical stats.
-            InvariantChecker chk;
-            harness::RunOptions checked;
-            checked.engine = engine;
-            checked.checker = &chk;
-            const std::string observed =
-                obs::toJson(harness::runCold(cfg, traces, checked))
-                    .dump(2);
+        // Checker on: zero violations, byte-identical stats.
+        InvariantChecker chk;
+        harness::RunOptions checked;
+        checked.checker = &chk;
+        const std::string observed =
+            obs::toJson(harness::runCold(cfg, traces, checked)).dump(2);
 
-            EXPECT_EQ(chk.totalViolations(), 0u)
-                << tpcd::queryName(q) << " engine "
-                << (engine.kind == EngineKind::Seq ? "seq" : "par") << ": "
-                << (chk.violations().empty()
-                        ? ""
-                        : chk.violations()[0].detail);
-            EXPECT_EQ(base, observed) << "checker perturbed stats of "
-                                      << tpcd::queryName(q);
-        }
+        EXPECT_EQ(chk.totalViolations(), 0u)
+            << tpcd::queryName(q) << ": "
+            << (chk.violations().empty() ? ""
+                                         : chk.violations()[0].detail);
+        EXPECT_EQ(base, observed) << "checker perturbed stats of "
+                                  << tpcd::queryName(q);
+    }
+}
+
+TEST(CheckerClean, PrefetchingRunsHaveZeroViolations)
+{
+    // Prefetch fills share lines through the directory like demand
+    // fills, so the checker holds them to the same invariants: no
+    // tolerance for extra clean copies.
+    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
+    MachineConfig cfg = MachineConfig::baseline();
+    cfg.prefetchData = true;
+    for (tpcd::QueryId q :
+         {tpcd::QueryId::Q3, tpcd::QueryId::Q6, tpcd::QueryId::Q12}) {
+        InvariantChecker chk;
+        harness::RunOptions checked;
+        checked.checker = &chk;
+        const SimStats stats =
+            harness::runCold(cfg, wl.trace(q), checked);
+        std::uint64_t issued = 0;
+        for (const ProcStats &ps : stats.procs)
+            issued += ps.prefetchesIssued;
+        EXPECT_GT(issued, 0u) << tpcd::queryName(q);
+        EXPECT_EQ(chk.totalViolations(), 0u)
+            << tpcd::queryName(q) << ": "
+            << (chk.violations().empty() ? ""
+                                         : chk.violations()[0].detail);
     }
 }
 
 /** Randomized per-processor trace; @p conflict_free keeps every
  * processor in its own private region with no locks — no shared lines
- * AND no shared home-node controllers, the regime where the parallel
- * engine must agree with the sequential one exactly. */
+ * and no shared home-node controllers. */
 TraceStream
 fuzzTrace(std::mt19937_64 &rng, ProcId p, bool conflict_free)
 {
@@ -239,8 +256,8 @@ TEST(CheckerClean, FiftySeedFuzzZeroViolationsAndSeqParEquality)
 {
     const MachineConfig cfg = MachineConfig::baseline();
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-        // Contended traces (shared lines + locks): both engines must
-        // stay violation-free even under heavy line ping-pong.
+        // Contended traces (shared lines + locks) must stay
+        // violation-free even under heavy line ping-pong.
         for (const bool conflict_free : {false, true}) {
             std::mt19937_64 rng(seed);
             std::vector<TraceStream> traces;
@@ -250,25 +267,20 @@ TEST(CheckerClean, FiftySeedFuzzZeroViolationsAndSeqParEquality)
             for (const TraceStream &t : traces)
                 ptrs.push_back(&t);
 
+            // A rerun on a fresh machine reproduces every statistic.
             std::string fingerprints[2];
-            int i = 0;
-            for (const EngineConfig &engine :
-                 {EngineConfig::seq(), EngineConfig::par()}) {
+            for (std::string &fp : fingerprints) {
                 Machine m(cfg);
                 InvariantChecker chk;
                 m.setChecker(&chk);
-                SimStats s = m.run(ptrs, engine);
+                SimStats s = m.run(ptrs);
                 ASSERT_EQ(chk.totalViolations(), 0u)
                     << "seed " << seed << " conflict_free "
                     << conflict_free << ": "
                     << chk.violations()[0].detail;
-                fingerprints[i++] = obs::toJson(s).dump(2);
+                fp = obs::toJson(s).dump(2);
             }
-            // On conflict-free traces the engines must agree exactly.
-            if (conflict_free) {
-                EXPECT_EQ(fingerprints[0], fingerprints[1])
-                    << "seed " << seed;
-            }
+            EXPECT_EQ(fingerprints[0], fingerprints[1]) << "seed " << seed;
         }
     }
 }

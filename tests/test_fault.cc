@@ -5,8 +5,7 @@
  *
  * The contract under test: a FaultPlan's decisions are a pure function
  * of (seed, run, proc, trace position, kind) — the same seed yields a
- * bit-identical fault schedule under the sequential engine and the
- * parallel engine at any host thread count; rate 0 changes nothing at
+ * bit-identical fault schedule on every rerun; rate 0 changes nothing at
  * all; injected query aborts are always retried to completion; and a
  * simulated deadlock surfaces as a typed SimError with a per-processor
  * dump instead of an assert.
@@ -107,19 +106,18 @@ TEST(FaultDeterminism, ScheduleIdenticalAcrossEnginesAndThreadCounts)
     fc.seed = 42;
     fc.rate = 0.02;
 
+    // Fresh machine and plan per rerun: the schedule depends only on the
+    // seed and the traces.
     std::vector<std::vector<FaultPlan::Event>> schedules;
-    for (const EngineConfig &engine :
-         {EngineConfig::seq(), EngineConfig::par(1), EngineConfig::par(2),
-          EngineConfig::par(4)}) {
+    for (int rerun = 0; rerun < 2; ++rerun) {
         Machine m(cfg);
         FaultPlan plan(fc);
         m.setFaultPlan(&plan);
-        m.run(ptrsOf(traces), engine);
+        m.run(ptrsOf(traces));
         schedules.push_back(plan.schedule());
     }
     ASSERT_FALSE(schedules[0].empty()) << "rate 0.02 fired nothing";
-    for (std::size_t i = 1; i < schedules.size(); ++i)
-        EXPECT_EQ(schedules[0], schedules[i]) << "engine variant " << i;
+    EXPECT_EQ(schedules[0], schedules[1]);
 }
 
 TEST(FaultDeterminism, SeqParStatsIdenticalWithFaultsOnConflictFreeTraces)
@@ -133,16 +131,13 @@ TEST(FaultDeterminism, SeqParStatsIdenticalWithFaultsOnConflictFreeTraces)
 
     std::string fingerprints[2];
     std::vector<FaultPlan::Event> schedules[2];
-    int i = 0;
-    for (const EngineConfig &engine :
-         {EngineConfig::seq(), EngineConfig::par()}) {
+    for (int i = 0; i < 2; ++i) {
         Machine m(cfg);
         FaultPlan plan(fc);
         m.setFaultPlan(&plan);
-        SimStats s = m.run(ptrsOf(traces), engine);
+        SimStats s = m.run(ptrsOf(traces));
         fingerprints[i] = obs::toJson(s).dump(2);
         schedules[i] = plan.schedule();
-        ++i;
     }
     EXPECT_FALSE(schedules[0].empty());
     EXPECT_EQ(schedules[0], schedules[1]);
@@ -264,20 +259,16 @@ TEST(GracefulFailure, DeadlockThrowsSimErrorWithProcessorDump)
     for (ProcId p = 2; p < cfg.nprocs; ++p)
         traces.push_back(streamOf({TraceEntry::busy(5)}));
 
-    for (const EngineConfig &engine :
-         {EngineConfig::seq(), EngineConfig::par()}) {
-        Machine m(cfg);
-        try {
-            m.run(ptrsOf(traces), engine);
-            FAIL() << "deadlocked run returned normally";
-        } catch (const SimError &e) {
-            EXPECT_NE(std::string(e.what()).find("deadlock"),
-                      std::string::npos);
-            obs::Json dump = e.dump(); // operator[] is non-const
-            ASSERT_FALSE(dump["procs"].isNull());
-            EXPECT_EQ(dump["procs"].size(), cfg.nprocs);
-            ASSERT_FALSE(dump["locks"].isNull());
-        }
+    Machine m(cfg);
+    try {
+        m.run(ptrsOf(traces));
+        FAIL() << "deadlocked run returned normally";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
+        obs::Json dump = e.dump(); // operator[] is non-const
+        ASSERT_FALSE(dump["procs"].isNull());
+        EXPECT_EQ(dump["procs"].size(), cfg.nprocs);
+        ASSERT_FALSE(dump["locks"].isNull());
     }
 }
 

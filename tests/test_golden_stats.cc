@@ -2,11 +2,11 @@
  * @file
  * Golden-stats regression tests: the full per-processor statistics of the
  * paper's three focus queries (Q3 Index, Q6 Sequential, Q12 Mixed) at the
- * tiny scale, for both simulation engines, pinned against checked-in JSON
+ * tiny scale, plus two scheduled streams, pinned against checked-in JSON
  * fixtures under tests/golden/.
  *
  * These exist to catch *unintended* behaviour changes: any edit to the
- * caches, directory, write buffer, lock model or either engine that moves
+ * caches, directory, write buffer, lock model or replay loop that moves
  * a single counter fails loudly here. When a change is intended,
  * regenerate the fixtures (scripts/regen_golden.sh, or run this binary
  * with DSS_REGEN_GOLDEN=1) and review the fixture diff like code.
@@ -40,20 +40,14 @@ goldenPath(const std::string &name)
     return std::string(DSS_GOLDEN_DIR) + "/" + name;
 }
 
+/**
+ * Compare @p actual with fixture @p fixture (or rewrite the fixture when
+ * DSS_REGEN_GOLDEN is set); @p what names the run in the failure message.
+ */
 void
-checkGolden(tpcd::QueryId q, const sim::EngineConfig &engine,
-            const std::string &fixture)
+expectFixture(const std::string &actual, const std::string &fixture,
+              const std::string &what)
 {
-    // A fresh workload per check: tracing a query reads through the live
-    // database engine, so traces (and therefore stats) depend on what ran
-    // before in this process. Fresh state keeps every fixture independent
-    // of test ordering and sharding.
-    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
-    harness::TraceSet traces = wl.trace(q);
-    sim::SimStats stats =
-        harness::runCold(sim::MachineConfig::baseline(), traces, engine);
-    const std::string actual = obs::toJson(stats).dump(2) + "\n";
-
     const std::string path = goldenPath(fixture);
     if (std::getenv("DSS_REGEN_GOLDEN") != nullptr) {
         std::ofstream os(path);
@@ -68,54 +62,46 @@ checkGolden(tpcd::QueryId q, const sim::EngineConfig &engine,
     std::ostringstream want;
     want << is.rdbuf();
     EXPECT_EQ(want.str(), actual)
-        << "stats for " << tpcd::queryName(q) << " ("
-        << sim::engineKindName(engine.kind) << " engine) diverged from "
-        << path << "; if intended, regenerate with scripts/regen_golden.sh";
+        << what << " diverged from " << path
+        << "; if intended, regenerate with scripts/regen_golden.sh";
+}
+
+void
+checkGolden(tpcd::QueryId q, const std::string &fixture)
+{
+    // A fresh workload per check: tracing a query reads through the live
+    // database engine, so traces (and therefore stats) depend on what ran
+    // before in this process. Fresh state keeps every fixture independent
+    // of test ordering and sharding.
+    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
+    harness::TraceSet traces = wl.trace(q);
+    sim::SimStats stats =
+        harness::runCold(sim::MachineConfig::baseline(), traces);
+    expectFixture(obs::toJson(stats).dump(2) + "\n", fixture,
+                  "stats for " + tpcd::queryName(q));
 }
 
 TEST(GoldenStats, Q3Seq)
 {
-    checkGolden(tpcd::QueryId::Q3, sim::EngineConfig::seq(), "q3_seq.json");
+    checkGolden(tpcd::QueryId::Q3, "q3_seq.json");
 }
 
 TEST(GoldenStats, Q6Seq)
 {
-    checkGolden(tpcd::QueryId::Q6, sim::EngineConfig::seq(), "q6_seq.json");
+    checkGolden(tpcd::QueryId::Q6, "q6_seq.json");
 }
 
 TEST(GoldenStats, Q12Seq)
 {
-    checkGolden(tpcd::QueryId::Q12, sim::EngineConfig::seq(),
-                "q12_seq.json");
-}
-
-TEST(GoldenStats, Q3Par)
-{
-    checkGolden(tpcd::QueryId::Q3, sim::EngineConfig::par(), "q3_par.json");
-}
-
-TEST(GoldenStats, Q6Par)
-{
-    checkGolden(tpcd::QueryId::Q6, sim::EngineConfig::par(), "q6_par.json");
-}
-
-TEST(GoldenStats, Q12Par)
-{
-    checkGolden(tpcd::QueryId::Q12, sim::EngineConfig::par(),
-                "q12_par.json");
+    checkGolden(tpcd::QueryId::Q12, "q12_seq.json");
 }
 
 /**
  * Stream golden: a pinned open-loop stream (8 instances, seed 42, FIFO,
  * trace cache on) through the scheduler, full per-instance statistics
- * included. The stream report is deliberately engine-free and stream
- * results are engine-invariant, so stream_seq.json and stream_par.json
- * are expected to be byte-identical files — checking in both documents
- * that property and catches either engine drifting alone.
+ * included.
  */
-void
-checkStreamGolden(const sim::EngineConfig &engine,
-                  const std::string &fixture)
+TEST(GoldenStats, StreamSeq)
 {
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
     sched::StreamConfig scfg;
@@ -126,53 +112,19 @@ checkStreamGolden(const sim::EngineConfig &engine,
     scfg.policy = sched::Policy::Fifo;
     scfg.paramVariants = 2;
 
-    harness::RunOptions opts;
-    opts.engine = engine;
     sched::TraceCache cache;
     sched::StreamScheduler sched(wl, sim::MachineConfig::baseline(), scfg,
-                                 opts, &cache);
-    const std::string actual = toJson(sched.run(), true).dump(2) + "\n";
-
-    const std::string path = goldenPath(fixture);
-    if (std::getenv("DSS_REGEN_GOLDEN") != nullptr) {
-        std::ofstream os(path);
-        ASSERT_TRUE(os) << "cannot write " << path;
-        os << actual;
-        GTEST_SKIP() << "regenerated " << path;
-    }
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "missing fixture " << path
-                    << " (run scripts/regen_golden.sh)";
-    std::ostringstream want;
-    want << is.rdbuf();
-    EXPECT_EQ(want.str(), actual)
-        << "stream stats (" << sim::engineKindName(engine.kind)
-        << " engine) diverged from " << path
-        << "; if intended, regenerate with scripts/regen_golden.sh";
-}
-
-TEST(GoldenStats, StreamSeq)
-{
-    checkStreamGolden(sim::EngineConfig::seq(), "stream_seq.json");
-}
-
-TEST(GoldenStats, StreamPar)
-{
-    checkStreamGolden(sim::EngineConfig::par(), "stream_par.json");
+                                 harness::RunOptions{}, &cache);
+    expectFixture(toJson(sched.run(), true).dump(2) + "\n",
+                  "stream_seq.json", "stream stats");
 }
 
 /**
  * Resilient-stream golden: the full resilience layer at once — a binding
  * deadline, a bounded run queue, the per-class breaker, and seeded node
- * failures with migration — pinned for both engines. Like the plain
- * stream goldens the two fixtures are expected to be byte-identical
- * files: the resilience report (SLO accounting, breaker states, fired
- * outages) is engine-invariant by construction.
+ * failures with migration.
  */
-void
-checkResilientStreamGolden(const sim::EngineConfig &engine,
-                           const std::string &fixture)
+TEST(GoldenStats, StreamResilienceSeq)
 {
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
     sched::StreamConfig scfg;
@@ -201,42 +153,12 @@ checkResilientStreamGolden(const sim::EngineConfig &engine,
     sim::FaultPlan plan(fc);
 
     harness::RunOptions opts;
-    opts.engine = engine;
     opts.faults = &plan;
     sched::TraceCache cache;
     sched::StreamScheduler sched(wl, sim::MachineConfig::baseline(), scfg,
                                  opts, &cache, res);
-    const std::string actual = toJson(sched.run(), true).dump(2) + "\n";
-
-    const std::string path = goldenPath(fixture);
-    if (std::getenv("DSS_REGEN_GOLDEN") != nullptr) {
-        std::ofstream os(path);
-        ASSERT_TRUE(os) << "cannot write " << path;
-        os << actual;
-        GTEST_SKIP() << "regenerated " << path;
-    }
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "missing fixture " << path
-                    << " (run scripts/regen_golden.sh)";
-    std::ostringstream want;
-    want << is.rdbuf();
-    EXPECT_EQ(want.str(), actual)
-        << "resilient stream stats (" << sim::engineKindName(engine.kind)
-        << " engine) diverged from " << path
-        << "; if intended, regenerate with scripts/regen_golden.sh";
-}
-
-TEST(GoldenStats, StreamResilienceSeq)
-{
-    checkResilientStreamGolden(sim::EngineConfig::seq(),
-                               "stream_resilience_seq.json");
-}
-
-TEST(GoldenStats, StreamResiliencePar)
-{
-    checkResilientStreamGolden(sim::EngineConfig::par(),
-                               "stream_resilience_par.json");
+    expectFixture(toJson(sched.run(), true).dump(2) + "\n",
+                  "stream_resilience_seq.json", "resilient stream stats");
 }
 
 } // namespace

@@ -5,6 +5,10 @@
  * write-buffer stalls, metalock spinning, prefetch behaviour, warm runs).
  */
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/arena.hh"
@@ -377,6 +381,110 @@ TEST(MachineConfig, WithCacheSizesKeepsLines)
     EXPECT_EQ(cfg.l2().sizeBytes, 32u << 20);
     EXPECT_EQ(cfg.l1().lineBytes, 32u);
     EXPECT_EQ(cfg.l2().lineBytes, 64u);
+}
+
+/**
+ * One processor's seeded random trace: reads, writes and busy work over a
+ * private region and a small shared region (so real line conflicts
+ * happen), plus critical sections on a pool of four metalock words.
+ * Every LockAcq is paired with a LockRel.
+ */
+TraceStream
+contendedTrace(std::mt19937_64 &rng, ProcId p)
+{
+    TraceStream t;
+    const Addr priv_base =
+        AddressSpace::kPrivateBase + p * AddressSpace::kPrivateStride;
+    const Addr shared_base = 0x1000'0000;
+    const Addr lock_base = 0x2000'0000;
+    std::uniform_int_distribution<int> pct(0, 99);
+    std::uniform_int_distribution<Addr> priv_off(0, (16 << 10) - 8);
+    std::uniform_int_distribution<Addr> shared_off(0, (4 << 10) - 8);
+    std::uniform_int_distribution<Addr> lock_idx(0, 3);
+    std::uniform_int_distribution<std::uint32_t> busy(1, 30);
+
+    bool in_cs = false;
+    Addr held = 0;
+    for (int i = 0; i < 400; ++i) {
+        const int r = pct(rng);
+        if (!in_cs && r < 6) {
+            held = lock_base + lock_idx(rng) * 64;
+            t.record(TraceEntry::lockAcq(held, DataClass::LockSLock));
+            in_cs = true;
+        } else if (in_cs && r < 20) {
+            t.record(TraceEntry::lockRel(held, DataClass::LockSLock));
+            in_cs = false;
+        } else if (r < 45) {
+            t.record(TraceEntry::busy(busy(rng)));
+        } else {
+            const bool shared = pct(rng) < 40;
+            const Addr a = shared ? shared_base + (shared_off(rng) & ~7ull)
+                                  : priv_base + (priv_off(rng) & ~7ull);
+            const DataClass cls = shared ? DataClass::Data : DataClass::Priv;
+            if (pct(rng) < 30)
+                t.record(TraceEntry::write(a, cls, 8));
+            else
+                t.record(TraceEntry::read(a, cls, 8));
+        }
+    }
+    if (in_cs)
+        t.record(TraceEntry::lockRel(held, DataClass::LockSLock));
+    return t;
+}
+
+TEST(Machine, StoreAndGrantCountsFollowTraceUnderContention)
+{
+    // Every Write and every LockRel is exactly one store, and every
+    // LockAcq ends in exactly one grant (an uncontended acquire or a
+    // hand-off from the releaser), however the processors interleave.
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        std::mt19937_64 rng(seed);
+        std::vector<TraceStream> traces;
+        std::vector<const TraceStream *> ptrs;
+        for (ProcId p = 0; p < 4; ++p)
+            traces.push_back(contendedTrace(rng, p));
+        std::uint64_t trace_writes = 0, lock_acqs = 0;
+        for (const TraceStream &t : traces) {
+            ptrs.push_back(&t);
+            for (const TraceEntry &e : t.entries()) {
+                trace_writes += e.op == Op::Write;
+                lock_acqs += e.op == Op::LockAcq;
+            }
+        }
+        Machine m(MachineConfig::baseline());
+        SimStats s = m.run(ptrs);
+        std::uint64_t stores = 0;
+        for (const ProcStats &ps : s.procs)
+            stores += ps.writes;
+        const LockTable::Counters &lc = m.locks().counters();
+        ASSERT_EQ(stores, trace_writes + lock_acqs) << "seed " << seed;
+        ASSERT_EQ(lc.acquires + lc.handoffs, lock_acqs) << "seed " << seed;
+        ASSERT_EQ(lc.releases, lock_acqs) << "seed " << seed;
+    }
+}
+
+TEST(Machine, LockHandoffCompletesUnderContention)
+{
+    // All four processors fight over one lock; every acquire must be
+    // matched and the machine must not deadlock.
+    std::vector<TraceStream> traces;
+    for (ProcId p = 0; p < 4; ++p) {
+        TraceStream t;
+        for (int i = 0; i < 50; ++i) {
+            t.record(TraceEntry::lockAcq(0x2000'0000, DataClass::LockSLock));
+            t.record(TraceEntry::read(0x1000'0000, DataClass::Data, 8));
+            t.record(
+                TraceEntry::write(0x1000'0000, DataClass::Data, 8));
+            t.record(TraceEntry::lockRel(0x2000'0000, DataClass::LockSLock));
+            t.record(TraceEntry::busy(5));
+        }
+        traces.push_back(std::move(t));
+    }
+    Machine m(MachineConfig::baseline());
+    m.run({&traces[0], &traces[1], &traces[2], &traces[3]});
+    const LockTable::Counters &lc = m.locks().counters();
+    EXPECT_EQ(lc.acquires + lc.handoffs, 200u);
+    EXPECT_EQ(lc.releases, 200u);
 }
 
 /** Property sweep: a pure streaming read trace sees exactly one cold miss

@@ -3,7 +3,7 @@
  * Tests for the pluggable NUMA page-placement subsystem
  * (sim/placement.hh) and its wiring: the interleave policy must be
  * bit-identical to the historical hardwired Directory rule, first-touch
- * must resolve identically under both engines at any thread count, the
+ * must resolve as a pure function of the traces, the
  * class-affinity and profile policies must follow their inputs (arena
  * class map / access histogram), and the per-run statistics reset the
  * placement work exposed must hold.
@@ -221,13 +221,13 @@ TEST(Placement, FirstTouchIdenticalAcrossEnginesAndThreads)
         std::vector<ProcId> homes;
         std::size_t claimed;
     };
-    auto runWith = [&](const sim::EngineConfig &engine) {
+    auto runOnce = [&] {
         auto policy = PlacementPolicy::firstTouch(
             {cfg.nprocs, cfg.pageBytes, AddressSpace::kPrivateBase,
              AddressSpace::kPrivateStride});
         sim::Machine m(cfg);
         m.setPlacement(policy.get());
-        sim::SimStats stats = m.run(ptrs, engine);
+        sim::SimStats stats = m.run(ptrs);
         Outcome o;
         o.statsJson = obs::toJson(stats).dump();
         for (std::size_t i = 0; i < policy->coveredPages(); ++i)
@@ -236,27 +236,16 @@ TEST(Placement, FirstTouchIdenticalAcrossEnginesAndThreads)
         return o;
     };
 
-    // The claim resolution must be a pure function of the traces: the
-    // same homes under the sequential engine and under the parallel
-    // engine at any thread count. (Full stats are only bit-identical
-    // across *thread counts* — the two engines model controller queuing
-    // differently on contended traces, which is why the golden fixtures
-    // pin seq and par separately.)
-    const Outcome seq = runWith(sim::EngineConfig::seq());
-    EXPECT_GT(seq.claimed, 0u);
-    sim::EngineConfig par1 = sim::EngineConfig::par();
-    par1.threads = 1;
-    const Outcome base = runWith(par1);
-    EXPECT_EQ(seq.homes, base.homes) << "seq vs par";
-    EXPECT_EQ(seq.claimed, base.claimed) << "seq vs par";
-    for (unsigned threads : {2u, 8u}) {
-        sim::EngineConfig par = sim::EngineConfig::par();
-        par.threads = threads;
-        const Outcome got = runWith(par);
-        EXPECT_EQ(base.statsJson, got.statsJson) << threads << " threads";
-        EXPECT_EQ(base.homes, got.homes) << threads << " threads";
-        EXPECT_EQ(base.claimed, got.claimed) << threads << " threads";
-    }
+    // The claim resolution is a pure function of the traces, in
+    // (position, processor) order: position 0 of procs 0..3 claims pages
+    // 0..3, and proc 3 reaches each of pages 4..6 before anyone else.
+    const Outcome first = runOnce();
+    EXPECT_EQ(first.homes, (std::vector<ProcId>{0, 1, 2, 3, 3, 3, 3}));
+    EXPECT_EQ(first.claimed, 7u);
+    const Outcome rerun = runOnce();
+    EXPECT_EQ(first.statsJson, rerun.statsJson);
+    EXPECT_EQ(first.homes, rerun.homes);
+    EXPECT_EQ(first.claimed, rerun.claimed);
 }
 
 TEST(Placement, FirstTouchIdenticalAcrossEnginesOnRealQuery)
@@ -271,10 +260,9 @@ TEST(Placement, FirstTouchIdenticalAcrossEnginesOnRealQuery)
         std::string statsJson;
         std::vector<ProcId> homes;
     };
-    auto runWith = [&](const sim::EngineConfig &engine) {
+    auto runOnce = [&] {
         auto policy = PlacementPolicy::firstTouch(g);
         harness::RunOptions ro;
-        ro.engine = engine;
         ro.placement = policy.get();
         sim::SimStats stats = harness::runCold(cfg, traces, ro);
         Outcome o;
@@ -285,19 +273,12 @@ TEST(Placement, FirstTouchIdenticalAcrossEnginesOnRealQuery)
         return o;
     };
 
-    // Homes are engine-invariant; stats are bit-identical across thread
-    // counts of the parallel engine (seq and par stats differ by design
-    // in how controller contention is charged).
-    const Outcome seq = runWith(sim::EngineConfig::seq());
-    sim::EngineConfig par1 = sim::EngineConfig::par();
-    par1.threads = 1;
-    sim::EngineConfig par4 = sim::EngineConfig::par();
-    par4.threads = 4;
-    const Outcome p1 = runWith(par1);
-    const Outcome p4 = runWith(par4);
-    EXPECT_EQ(seq.homes, p1.homes);
-    EXPECT_EQ(p1.homes, p4.homes);
-    EXPECT_EQ(p1.statsJson, p4.statsJson);
+    // A rerun reproduces both the homes and every statistic.
+    const Outcome first = runOnce();
+    const Outcome rerun = runOnce();
+    EXPECT_FALSE(first.homes.empty());
+    EXPECT_EQ(first.homes, rerun.homes);
+    EXPECT_EQ(first.statsJson, rerun.statsJson);
 }
 
 // --- class-affinity ------------------------------------------------------

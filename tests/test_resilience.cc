@@ -6,7 +6,7 @@
  * shed, half-open trial, recovery, re-trip, probe-shed reopen), the
  * lazily materialized OutageTable against the FaultPlan's pure outage
  * function, and the scheduler-level behaviours: deadline timeouts,
- * capacity-0 admission, node-failure migration, engine invariance of a
+ * capacity-0 admission, node-failure migration, rerun identity of a
  * fully resilient stream, registry export, and the clean SimError
  * (guardedMain exit 3) when every processor fails permanently with
  * queries still queued.
@@ -599,7 +599,7 @@ TEST_F(ResilienceSim, ResilientStreamIsEngineInvariant)
     // The full layer at once: deadlines, bounded queue, breaker, node
     // failures. Fresh per-run caches and fault plans so the *entire*
     // report document — cache stats and fired-outage log included — must
-    // serialize byte-identically across engines.
+    // serialize byte-identically on a rerun.
     sched::StreamConfig scfg;
     scfg.instances = 10;
     scfg.seed = 17;
@@ -616,20 +616,18 @@ TEST_F(ResilienceSim, ResilientStreamIsEngineInvariant)
     res.breakerCooldown = 500000;
 
     const sim::FaultConfig fc = nodeFaultConfig(9, 2000000, 1200000);
-    auto dump = [&](const sim::EngineConfig &engine) {
+    auto dump = [&] {
         sim::FaultPlan plan(fc);
         sched::TraceCache fresh;
         harness::RunOptions opts;
-        opts.engine = engine;
         opts.faults = &plan;
         sched::StreamScheduler s(*wl_, sim::MachineConfig::baseline(),
                                  scfg, opts, &fresh, res);
         return toJson(s.run(), /*include_run_stats=*/true).dump();
     };
 
-    const std::string seq = dump(sim::EngineConfig::seq());
-    EXPECT_EQ(seq, dump(sim::EngineConfig::par(1)));
-    EXPECT_EQ(seq, dump(sim::EngineConfig::par(3)));
+    const std::string first = dump();
+    EXPECT_EQ(first, dump());
 }
 
 TEST_F(ResilienceSim, RegistryExportsResilienceCounters)
