@@ -45,11 +45,14 @@ run(harness::BenchContext &ctx)
             sim::MachineConfig cfg = ctx.config();
             cfg.l1().assoc = p.l1;
             cfg.l2().assoc = p.l2;
-            sim::ProcStats agg =
-                harness::runCold(cfg, traces, session.runOptions())
-                    .aggregate();
+            const std::string ways =
+                std::to_string(p.l1) + "/" + std::to_string(p.l2);
+            sim::SimStats stats =
+                harness::runCold(cfg, traces, session.runOptions());
+            session.addRun(tpcd::queryName(q) + "/ways=" + ways, stats);
+            sim::ProcStats agg = stats.aggregate();
             tab.addRow(
-                {std::to_string(p.l1) + "/" + std::to_string(p.l2),
+                {ways,
                  std::to_string(agg.totalCycles()),
                  std::to_string(
                      agg.l1Misses().byGroup(sim::ClassGroup::Priv)),

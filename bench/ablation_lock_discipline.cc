@@ -38,9 +38,12 @@ run(harness::BenchContext &ctx)
         for (bool relock : {true, false}) {
             harness::TraceSet traces =
                 wl.traceWithLockDiscipline(q, 1, relock);
-            sim::ProcStats agg =
-                harness::runCold(cfg, traces, session.runOptions())
-                    .aggregate();
+            sim::SimStats stats =
+                harness::runCold(cfg, traces, session.runOptions());
+            session.addRun(tpcd::queryName(q) +
+                               (relock ? "/relock=on" : "/relock=off"),
+                           stats);
+            sim::ProcStats agg = stats.aggregate();
             tab.addRow(
                 {tpcd::queryName(q), relock ? "on (paper)" : "off",
                  std::to_string(agg.totalCycles()),

@@ -40,9 +40,12 @@ run(harness::BenchContext &ctx)
             sim::MachineConfig cfg = ctx.config();
             cfg.prefetchData = degree > 0;
             cfg.prefetchDegree = degree;
-            sim::ProcStats agg =
-                harness::runCold(cfg, traces, session.runOptions())
-                    .aggregate();
+            sim::SimStats stats =
+                harness::runCold(cfg, traces, session.runOptions());
+            session.addRun(tpcd::queryName(q) + "/degree=" +
+                               std::to_string(degree),
+                           stats);
+            sim::ProcStats agg = stats.aggregate();
             if (degree == 0)
                 base = static_cast<double>(agg.totalCycles());
             row.push_back(harness::fixed(

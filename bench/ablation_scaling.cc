@@ -46,6 +46,9 @@ run(harness::BenchContext &ctx)
             harness::RunOptions ro = session.runOptions();
             ro.placement = placement.get();
             sim::SimStats stats = harness::runCold(cfg, traces, ro);
+            session.addRun(tpcd::queryName(q) + "/procs=" +
+                               std::to_string(nprocs),
+                           stats);
             sim::ProcStats agg = stats.aggregate();
 
             std::uint64_t cohe = 0;

@@ -64,8 +64,11 @@ run(harness::BenchContext &ctx)
             auto placement = harness::makePlacement(opts, cfg, space);
             harness::RunOptions ro = session.runOptions();
             ro.placement = placement.get();
-            sim::ProcStats agg =
-                harness::runCold(cfg, *traces, ro).aggregate();
+            sim::SimStats stats = harness::runCold(cfg, *traces, ro);
+            session.addRun(std::string(name) + "/entries=" +
+                               std::to_string(entries),
+                           stats);
+            sim::ProcStats agg = stats.aggregate();
             tab.addRow({std::to_string(entries),
                         std::to_string(agg.totalCycles()),
                         std::to_string(agg.wbOverflows),

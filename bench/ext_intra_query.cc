@@ -39,16 +39,19 @@ run(harness::BenchContext &ctx)
     harness::TraceSet solo;
     solo.push_back(wl.traceOne(tpcd::QueryId::Q6, 0, 7919));
     sim::SimStats s_solo = harness::runCold(cfg, solo, session.runOptions());
+    session.addRun("1 proc, whole Q6", s_solo);
 
     // (b) Inter-query: four independent Q6 instances (the paper's setup).
     harness::TraceSet inter = wl.trace(tpcd::QueryId::Q6, 1);
     sim::SimStats s_inter =
         harness::runCold(cfg, inter, session.runOptions());
+    session.addRun("4 procs, 4 Q6 queries", s_inter);
 
     // (c) Intra-query: one Q6 split into four block-range partitions.
     harness::TraceSet intra = wl.traceIntraQueryQ6(1);
     sim::SimStats s_intra =
         harness::runCold(cfg, intra, session.runOptions());
+    session.addRun("4 procs, 1 Q6 split", s_intra);
 
     harness::TextTable tab({"setup", "exec cycles", "speedup vs 1-proc",
                             "L2 Data misses", "L2 Cohe misses"});

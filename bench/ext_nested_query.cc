@@ -47,9 +47,10 @@ run(harness::BenchContext &ctx)
     for (auto [name, traces] :
          {std::pair<const char *, harness::TraceSet *>{"flat Q4", &flat},
           {"nested Q4 (EXISTS)", &nested}}) {
-        sim::ProcStats agg =
-            harness::runCold(cfg, *traces, session.runOptions())
-                .aggregate();
+        sim::SimStats stats =
+            harness::runCold(cfg, *traces, session.runOptions());
+        session.addRun(name, stats);
+        sim::ProcStats agg = stats.aggregate();
         const double total = static_cast<double>(agg.totalCycles());
         const double misses =
             std::max(1.0, static_cast<double>(agg.l2Misses().total()));

@@ -102,6 +102,7 @@ run(harness::BenchContext &ctx)
         set.push_back(std::move(trace));
         sim::SimStats stats =
             harness::runCold(cfg, set, session.runOptions());
+        session.addRun(uf1 ? "UF1" : "UF2", stats);
         sim::ProcStats agg = stats.aggregate();
         auto counts = set[0].counts();
         tab.addRow(

@@ -26,7 +26,8 @@ namespace {
 void
 printRun(const std::string &label, const sim::SimStats &stats, double base)
 {
-    const sim::MissTable &m = stats.aggregate().l2Misses();
+    const sim::ProcStats agg = stats.aggregate();
+    const sim::MissTable &m = agg.l2Misses();
     auto n = [&](sim::ClassGroup g) {
         return harness::fixed(
             100.0 * static_cast<double>(m.byGroup(g)) / base, 1);
@@ -52,7 +53,8 @@ trimmed(std::string s)
 obs::Json
 normalizedRow(const sim::SimStats &stats, double base)
 {
-    const sim::MissTable &m = stats.aggregate().l2Misses();
+    const sim::ProcStats agg = stats.aggregate();
+    const sim::MissTable &m = agg.l2Misses();
     auto n = [&](sim::ClassGroup g) {
         return 100.0 * static_cast<double>(m.byGroup(g)) / base;
     };

@@ -43,12 +43,15 @@ run(harness::BenchContext &ctx)
     for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
                             tpcd::QueryId::Q12}) {
         harness::TraceSet traces = wl.trace(q);
-        sim::ProcStats base =
-            harness::runCold(base_cfg, traces, session.runOptions())
-                .aggregate();
-        sim::ProcStats opt =
-            harness::runCold(opt_cfg, traces, session.runOptions())
-                .aggregate();
+        auto run_one = [&](const char *cfg_name,
+                           const sim::MachineConfig &cfg) {
+            sim::SimStats stats =
+                harness::runCold(cfg, traces, session.runOptions());
+            session.addRun(tpcd::queryName(q) + "/" + cfg_name, stats);
+            return stats.aggregate();
+        };
+        sim::ProcStats base = run_one("Base", base_cfg);
+        sim::ProcStats opt = run_one("Opt", opt_cfg);
 
         const double denom = static_cast<double>(base.totalCycles());
         auto row = [&](const char *cfg_name, const sim::ProcStats &s) {

@@ -1,5 +1,7 @@
 #include "harness/runner.hh"
 
+#include <utility>
+
 #include "obs/memprof.hh"
 #include "obs/pageprof.hh"
 #include "obs/registry.hh"
@@ -29,6 +31,16 @@ snapshotRegistry(const sim::Machine &machine, const RunOptions &opts)
 }
 
 } // namespace
+
+void
+wireMachine(sim::Machine &machine, const RunOptions &opts)
+{
+    machine.setChecker(opts.checker);
+    machine.setFaultPlan(opts.faults);
+    machine.setPlacement(opts.placement);
+    if (opts.memProfile)
+        machine.enableSharing(true);
+}
 
 /**
  * One machine run under the retry guard: a FaultPlan may schedule a
@@ -60,38 +72,26 @@ runOnMachine(sim::Machine &machine,
         opts.faults, opts.log, opts.retryStats);
 }
 
-sim::SimStats
-runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
-        const RunOptions &opts)
-{
-    sim::Machine machine(cfg);
-    machine.setChecker(opts.checker);
-    machine.setFaultPlan(opts.faults);
-    machine.setPlacement(opts.placement);
-    if (opts.memProfile)
-        machine.enableSharing(true);
-    sim::SimStats stats = runOnMachine(machine, tracePtrs(traces), opts);
-    snapshotRegistry(machine, opts);
-    return stats;
-}
-
 std::vector<sim::SimStats>
 runSequence(const sim::MachineConfig &cfg,
             const std::vector<const TraceSet *> &sequence,
             const RunOptions &opts)
 {
     sim::Machine machine(cfg);
-    machine.setChecker(opts.checker);
-    machine.setFaultPlan(opts.faults);
-    machine.setPlacement(opts.placement);
-    if (opts.memProfile)
-        machine.enableSharing(true);
+    wireMachine(machine, opts);
     std::vector<sim::SimStats> out;
     out.reserve(sequence.size());
     for (const TraceSet *traces : sequence)
         out.push_back(runOnMachine(machine, tracePtrs(*traces), opts));
     snapshotRegistry(machine, opts);
     return out;
+}
+
+sim::SimStats
+runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
+        const RunOptions &opts)
+{
+    return std::move(runSequence(cfg, {&traces}, opts).front());
 }
 
 sim::SimStats
@@ -104,19 +104,6 @@ runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
     opts.timeline = timeline;
     opts.registrySnapshot = registry_snapshot;
     return runCold(cfg, traces, opts);
-}
-
-std::vector<sim::SimStats>
-runSequence(const sim::MachineConfig &cfg,
-            const std::vector<const TraceSet *> &sequence,
-            obs::Sampler *sampler, obs::Timeline *timeline,
-            obs::Json *registry_snapshot)
-{
-    RunOptions opts;
-    opts.sampler = sampler;
-    opts.timeline = timeline;
-    opts.registrySnapshot = registry_snapshot;
-    return runSequence(cfg, sequence, opts);
 }
 
 } // namespace harness

@@ -62,60 +62,58 @@ struct RunOptions
     RetryStats *retryStats = nullptr;
 };
 
-/** Simulate @p traces on a fresh machine, fully wired via @p opts.
- * FaultPlan-scheduled query aborts are retried with bounded backoff. */
-sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
-                      const RunOptions &opts);
+/**
+ * Wire @p machine from @p opts: invariant checker, fault plan, placement
+ * policy, and the word-granular sharing tracker when a memory profiler
+ * is attached. These are per-machine, not per-run; runSequence and the
+ * stream scheduler (src/sched/) both wire their machine with this.
+ */
+void wireMachine(sim::Machine &machine, const RunOptions &opts);
 
 /**
  * One guarded run on a caller-owned machine: reset the per-run lifetime
  * stats, feed the page/memory profilers, schedule and retry
  * FaultPlan-injected aborts, and replay @p traces. This
- * is the primitive runCold/runSequence chain per trace set — exposed so
+ * is the primitive runSequence chains per trace set — exposed so
  * the stream scheduler (src/sched/) can drive many back-to-back query
- * instances on one warm machine it wires up itself (setChecker,
- * setFaultPlan, setPlacement are the caller's responsibility; they are
- * per-machine, not per-run).
+ * instances on one warm machine it wires up itself (wireMachine).
  */
 sim::SimStats runOnMachine(sim::Machine &machine,
                            const std::vector<const sim::TraceStream *> &traces,
                            const RunOptions &opts);
 
-/** Warm-chained sequence (Fig 12), fully wired via @p opts. */
-std::vector<sim::SimStats>
-runSequence(const sim::MachineConfig &cfg,
-            const std::vector<const TraceSet *> &sequence,
-            const RunOptions &opts);
-
 /**
- * Simulate @p traces on a fresh machine with @p cfg (cold caches).
- *
- * @param sampler  Optional epoch sampler receiving counter deltas.
- * @param timeline Optional timeline receiving busy/stall/lock spans.
- * @param registry_snapshot When non-null, the machine's full counter
- *        registry (per-proc stats, cache/write-buffer/directory/lock
- *        counters) is snapshotted into this JSON object after the run.
- */
-sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
-                      obs::Sampler *sampler = nullptr,
-                      obs::Timeline *timeline = nullptr,
-                      obs::Json *registry_snapshot = nullptr);
-
-/**
- * Simulate a sequence of trace sets on one machine without flushing caches
- * between them (Fig 12: "caches warmed up with another execution"). The
- * sampler and timeline, when given, observe every run of the chain: epoch
- * samples carry their run index, and timeline runs are laid out
- * back-to-back on the trace time axis.
+ * Simulate a sequence of trace sets on one fresh machine, fully wired
+ * via @p opts, without flushing caches between them (Fig 12: "caches
+ * warmed up with another execution"). The sampler and timeline, when
+ * given, observe every run of the chain: epoch samples carry their run
+ * index, and timeline runs are laid out back-to-back on the trace time
+ * axis. FaultPlan-scheduled query aborts are retried with bounded
+ * backoff. The registry snapshot, when requested, is taken after the
+ * last run.
  *
  * @return per-run statistics, in order.
  */
 std::vector<sim::SimStats>
 runSequence(const sim::MachineConfig &cfg,
             const std::vector<const TraceSet *> &sequence,
-            obs::Sampler *sampler = nullptr,
-            obs::Timeline *timeline = nullptr,
-            obs::Json *registry_snapshot = nullptr);
+            const RunOptions &opts = {});
+
+/** Simulate @p traces on a fresh machine (cold caches): a one-element
+ * runSequence. */
+sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
+                      const RunOptions &opts = {});
+
+/**
+ * runCold with only the observers: an epoch @p sampler, a @p timeline,
+ * and a @p registry_snapshot JSON object the machine's full counter
+ * registry is written into after the run. Any may be null; @p sampler
+ * has no default so two-argument calls pick the RunOptions overload.
+ */
+sim::SimStats runCold(const sim::MachineConfig &cfg, const TraceSet &traces,
+                      obs::Sampler *sampler,
+                      obs::Timeline *timeline = nullptr,
+                      obs::Json *registry_snapshot = nullptr);
 
 } // namespace harness
 } // namespace dss

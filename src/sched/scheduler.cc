@@ -27,12 +27,7 @@ StreamScheduler::StreamScheduler(harness::Workload &workload,
         throw std::invalid_argument(
             "stream machine has more processors than the workload's "
             "address space provides private heaps for");
-    // Wire the machine exactly like harness::runCold would.
-    machine_.setChecker(opts_.checker);
-    machine_.setFaultPlan(opts_.faults);
-    machine_.setPlacement(opts_.placement);
-    if (opts_.memProfile)
-        machine_.enableSharing(true);
+    harness::wireMachine(machine_, opts_);
 }
 
 unsigned
@@ -504,7 +499,7 @@ StreamScheduler::run()
     }
 
     // End-of-stream registry snapshot: machine counters plus the stream
-    // layer's own (runOnMachine never snapshots; runCold's equivalent
+    // layer's own (runOnMachine never snapshots; runSequence's equivalent
     // happens here so the JSON report sees the whole warm stream).
     if (opts_.registrySnapshot) {
         obs::Registry reg;

@@ -104,8 +104,8 @@ obs::Json toJson(const StreamResult &r, bool include_run_stats = true);
 
 /**
  * Runs one stream on one warm machine. The scheduler owns the Machine
- * (built from @p machine_cfg) and wires it from @p base_opts exactly
- * like harness::runCold would (checker, fault plan, placement, sharing
+ * (built from @p machine_cfg) and wires it from @p base_opts with
+ * harness::wireMachine (checker, fault plan, placement, sharing
  * tracker); the per-run pieces of @p base_opts (sampler, timeline,
  * profilers, retry policy) pass through to every instance run.
  *

@@ -247,8 +247,9 @@ TEST(Sampler, ObservesEveryRunOfASequence)
     harness::TraceSet b = wl.trace(tpcd::QueryId::Q6, 23);
 
     obs::Sampler sampler(5000);
-    std::vector<sim::SimStats> runs =
-        harness::runSequence(cfg, {&a, &b}, &sampler);
+    harness::RunOptions ro;
+    ro.sampler = &sampler;
+    std::vector<sim::SimStats> runs = harness::runSequence(cfg, {&a, &b}, ro);
 
     ASSERT_EQ(runs.size(), 2u);
     for (unsigned r = 0; r < 2; ++r)
