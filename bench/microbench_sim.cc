@@ -204,14 +204,16 @@ BENCHMARK(BM_MachineReplay4)->UseRealTime();
 /**
  * Cost of the --memprof machinery on the machine replay path. Four
  * processors mix reads and stores over an overlapping shared region, so
- * the word-granular sharing tracker (when enabled) exercises both its
- * store-recording and its miss-classification paths. "off" is the
- * default configuration every non-profiled run uses and must stay within
- * noise of the pre-memprof replay; "on" prices the tracker itself;
- * "profile" adds the profiler's own trace replay on top.
+ * the sharing tracker exercises both its store-recording and its
+ * miss-classification paths. "off" is the default configuration every
+ * non-profiled run uses; "profile" attaches a line-level profile, which
+ * arms the tracker and records every miss, upgrade and 3-hop
+ * transaction. Compare the two over interleaved repetitions
+ * (--benchmark_repetitions=10 --benchmark_enable_random_interleaving=true):
+ * on a shared host single samples spread by more than the tracker costs.
  */
 void
-BM_MemprofOverhead(benchmark::State &state, int mode)
+BM_MemprofOverhead(benchmark::State &state, bool profiled)
 {
     MachineConfig cfg = MachineConfig::baseline();
     std::vector<TraceStream> streams(cfg.nprocs);
@@ -235,22 +237,18 @@ BM_MemprofOverhead(benchmark::State &state, int mode)
         ptrs.push_back(&s);
     for (auto _ : state) {
         Machine m(cfg);
-        m.enableSharing(mode >= 1);
+        dss::obs::MemProfile prof(cfg);
+        if (profiled)
+            m.setMemProfile(&prof);
         SimStats s = m.run(ptrs);
         benchmark::DoNotOptimize(s.procs[0].l2CoheTrue);
-        if (mode >= 2) {
-            dss::obs::MemProfile prof({cfg.coherent(), cfg.nprocs, cfg.pageBytes});
-            prof.addTraces(ptrs);
-            benchmark::DoNotOptimize(prof.lines().size());
-        }
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(streams[0].size() * cfg.nprocs));
 }
-BENCHMARK_CAPTURE(BM_MemprofOverhead, off, 0)->UseRealTime();
-BENCHMARK_CAPTURE(BM_MemprofOverhead, on, 1)->UseRealTime();
-BENCHMARK_CAPTURE(BM_MemprofOverhead, profile, 2)->UseRealTime();
+BENCHMARK_CAPTURE(BM_MemprofOverhead, off, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_MemprofOverhead, profile, true)->UseRealTime();
 
 } // namespace
 

@@ -10,7 +10,8 @@
  * With --json, the report document carries one full "memprof" profile
  * per query plus the per-processor registry counters, which is what
  * scripts/check.sh --memprof validates (schema, the
- * cohe == cohe.true + cohe.false invariant, and rerun identity).
+ * cohe == cohe.true + cohe.false invariant, the profile totals against
+ * the machine's own counters, and rerun identity).
  */
 
 #include <iostream>
@@ -49,20 +50,14 @@ run(harness::BenchContext &ctx)
     obs::RegionMap symbols;
     wl.db().catalog().describeRegions(symbols);
 
-    obs::MemProfileConfig mc;
-    mc.l2 = cfg.coherent();
-    mc.nprocs = cfg.nprocs;
-    mc.pageBytes = cfg.pageBytes;
-
     obs::Json profiles = obs::Json::object();
     for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
                             tpcd::QueryId::Q12}) {
         harness::TraceSet traces = wl.trace(q);
 
-        // One fresh profile per query, so each report is cold-cache and
-        // independent of query order (the profiler replays the traces
-        // itself).
-        obs::MemProfile prof(mc);
+        // One fresh profile per query, so each report covers exactly
+        // that query's cold run.
+        obs::MemProfile prof(cfg);
         harness::RunOptions ro = session.runOptions();
         ro.memProfile = &prof;
         sim::SimStats stats = harness::runCold(cfg, traces, ro);

@@ -26,7 +26,8 @@
 #
 # --memprof runs the line-level memory-profiler checks: the memprof unit
 # tests, report_memprof over Q3/Q6/Q12 at tiny scale, JSON schema
-# validation of the profile block, the per-processor
+# validation of the profile block, each profile's totals against the
+# machine counters of its run, the per-processor
 # cohe == cohe.true + cohe.false counter invariant, and byte-identity
 # of the JSON report across two identical runs.
 #
@@ -412,7 +413,8 @@ PYMACHINE
 
 # Line-level memory-profiler checks against an existing build dir: unit
 # tests, then report_memprof over Q3/Q6/Q12 with --memprof run twice,
-# validating the JSON profile schema, the per-processor
+# validating the JSON profile schema, each profile's totals against its
+# run's machine counters, the per-processor
 # cohe == cohe.true + cohe.false registry invariant, and byte-identity
 # of the two reports.
 memprof_checks() {
@@ -432,7 +434,7 @@ memprof_checks() {
     fi
 
     python3 - "$seq_json" <<'EOF'
-import json, sys
+import json, re, sys
 
 seq = json.load(open(sys.argv[1]))
 
@@ -467,6 +469,32 @@ for query, prof in profiles.items():
     if not prof["lines"]:
         fail("%s profile tracked no lines" % query)
 
+# The profile is the machine's own record: each query's totals equal
+# that run's counters summed over processors (coherent-level cold/conf
+# misses, the true/false coherence split, 3-hop transactions).
+runs = {run["label"]: run["counters"] for run in seq["runs"]}
+for query, prof in profiles.items():
+    c = runs.get(query)
+    if c is None:
+        fail("no run labelled %s for its profile" % query)
+    coh = max(int(k.split(".")[1][1:]) for k in c
+              if re.match(r"proc\d+\.l\d\.miss\.", k))
+    def total(pattern):
+        return sum(v for k, v in c.items() if re.fullmatch(pattern, k))
+    machine = {
+        "cold": total(r"proc\d+\.l%d\.miss\.cold\.\w+" % coh),
+        "conf": total(r"proc\d+\.l%d\.miss\.conf\.\w+" % coh),
+        "coheTrue": total(r"proc\d+\.miss\.cohe\.true"),
+        "coheFalse": total(r"proc\d+\.miss\.cohe\.false"),
+        "hop3": total(r"proc\d+\.hops\.\w+\.hop3"),
+    }
+    for f, n in machine.items():
+        if prof["totals"][f] != n:
+            fail("%s profile %s %d != machine counters %d"
+                 % (query, f, prof["totals"][f], n))
+    if machine["coheTrue"] + machine["coheFalse"] == 0:
+        fail("%s: no coherence misses to reconcile" % query)
+
 # Per-proc coherence split invariant from the machine's own counters.
 for run in seq["runs"]:
     c = run["counters"]
@@ -479,8 +507,8 @@ for run in seq["runs"]:
             fail("%s %s: cohe %d != true %d + false %d"
                  % (run["label"], p, cohe, true, false_))
 
-print("check.sh: memprof schema, counter invariant and rerun"
-      " byte-identity OK")
+print("check.sh: memprof schema, machine reconciliation, counter"
+      " invariant and rerun byte-identity OK")
 EOF
 }
 

@@ -198,6 +198,8 @@ class ObsSession
     /**
      * Arm the --memprof profiler for machine geometry @p cfg and,
      * when @p catalog is given, load the structure symbol map from it.
+     * Runs on a machine of another coherent-level geometry or processor
+     * count are not profiled (obs::MemProfile::fits).
      * No-op unless --memprof was passed, so benches can call this
      * unconditionally once the machine config and database exist (and
      * before the first runOptions()). The report lands in the JSON

@@ -12,10 +12,9 @@
 namespace dss {
 namespace harness {
 
-namespace {
-
 void
-snapshotRegistry(const sim::Machine &machine, const RunOptions &opts)
+snapshotRegistry(const sim::Machine &machine, const RunOptions &opts,
+                 const std::function<void(obs::Registry &)> &extra)
 {
     if (!opts.registrySnapshot)
         return;
@@ -27,10 +26,10 @@ snapshotRegistry(const sim::Machine &machine, const RunOptions &opts)
         opts.faults->registerStats(reg, "fault");
     if (opts.retryStats)
         opts.retryStats->registerStats(reg, "harness.retry");
+    if (extra)
+        extra(reg);
     *opts.registrySnapshot = reg.toJson();
 }
-
-} // namespace
 
 void
 wireMachine(sim::Machine &machine, const RunOptions &opts)
@@ -38,8 +37,12 @@ wireMachine(sim::Machine &machine, const RunOptions &opts)
     machine.setChecker(opts.checker);
     machine.setFaultPlan(opts.faults);
     machine.setPlacement(opts.placement);
-    if (opts.memProfile)
-        machine.enableSharing(true);
+    // A profile records one machine geometry; sweep points at another
+    // geometry run unprofiled.
+    machine.setMemProfile(opts.memProfile &&
+                                  opts.memProfile->fits(machine.config())
+                              ? opts.memProfile
+                              : nullptr);
 }
 
 /**
@@ -57,8 +60,6 @@ runOnMachine(sim::Machine &machine,
     machine.resetStats(); // per-run home counters (Fig 12 repetitions)
     if (opts.pageProfile)
         opts.pageProfile->addTraces(traces);
-    if (opts.memProfile)
-        opts.memProfile->addTraces(traces);
     if (opts.faults)
         opts.faults->scheduleQuery();
     return retryOnAbort(

@@ -9,6 +9,7 @@
 #ifndef DSS_HARNESS_RUNNER_HH
 #define DSS_HARNESS_RUNNER_HH
 
+#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -21,6 +22,7 @@ namespace obs {
 class Json;
 class MemProfile;
 class PageProfile;
+class Registry;
 class Sampler;
 class Timeline;
 } // namespace obs
@@ -51,9 +53,9 @@ struct RunOptions
     sim::PlacementPolicy *placement = nullptr;
     /** Per-page access histogram collector (--page-profile). */
     obs::PageProfile *pageProfile = nullptr;
-    /** Line-level memory profiler (--memprof). Feeding it also enables
-     * the machine's word-granular sharing tracker, so the registry's
-     * per-proc miss.cohe.{true,false} counters come alive. */
+    /** Line-level memory profiler (--memprof), attached to every machine
+     * of its geometry; the machine records its own misses into it and
+     * its per-proc miss.cohe.{true,false} counters come alive. */
     obs::MemProfile *memProfile = nullptr;
     RetryPolicy retry;
     std::ostream *log = nullptr; ///< retry/abort notes; null = quiet
@@ -64,15 +66,25 @@ struct RunOptions
 
 /**
  * Wire @p machine from @p opts: invariant checker, fault plan, placement
- * policy, and the word-granular sharing tracker when a memory profiler
- * is attached. These are per-machine, not per-run; runSequence and the
- * stream scheduler (src/sched/) both wire their machine with this.
+ * policy, and the memory profile when it fits the machine's geometry.
+ * These are per-machine, not per-run; runSequence and the stream
+ * scheduler (src/sched/) both wire their machine with this.
  */
 void wireMachine(sim::Machine &machine, const RunOptions &opts);
 
 /**
+ * Write @p machine's counter registry into opts.registrySnapshot (no-op
+ * when null), together with the checker, fault plan and retry stats of
+ * @p opts and whatever @p extra registers (the stream scheduler's trace
+ * cache and sched.* counters).
+ */
+void snapshotRegistry(const sim::Machine &machine, const RunOptions &opts,
+                      const std::function<void(obs::Registry &)> &extra =
+                          {});
+
+/**
  * One guarded run on a caller-owned machine: reset the per-run lifetime
- * stats, feed the page/memory profilers, schedule and retry
+ * stats, feed the page profiler, schedule and retry
  * FaultPlan-injected aborts, and replay @p traces. This
  * is the primitive runSequence chains per trace set — exposed so
  * the stream scheduler (src/sched/) can drive many back-to-back query

@@ -1,6 +1,6 @@
 /**
  * @file
- * Line-level memory profiler: per-cache-line access/miss histories with
+ * Line-level memory profiler: per-cache-line access/miss records with
  * true/false-sharing classification, hot-set conflict attribution and
  * structure symbolization.
  *
@@ -10,23 +10,19 @@
  * sharing (the words written remotely are the words read) or false
  * sharing (victims of line-granularity invalidation only).
  *
- * Determinism: the profiler never observes the Machine. It replays the
- * captured per-processor trace streams itself, in a canonical
- * position-major round-robin order (position 0 of every processor, then
- * position 1, ...), against its own model caches and SharingTracker.
- * Because traces are pure per-processor artifacts of the (read-only
- * TPC-D) database engine, the profile is a pure function of the traces:
- * independent of the Machine's simulated interleaving and bit-identical
- * across reruns.
+ * The profile is a sink, not a model. A Machine with the profile
+ * attached (Machine::setMemProfile) records into it where it already
+ * classifies and prices its own transactions:
+ *  - the miss class of every coherent-level read and RMW miss, with the
+ *    coherence misses split by the Machine's SharingTracker;
+ *  - every upgrade (a store or RMW to a resident copy it does not own);
+ *  - every 3-hop demand transaction, homed by the active placement.
+ * Summed over lines, the profile therefore equals the Machine's own
+ * counters. Per-line accesses, reads and writes are plain trace counts
+ * (Machine::run feeds addTraces), independent of the interleaving.
  *
- * The model is the machine's L2 level without L1 filtering or timing:
- * one model L2 per processor (machine geometry), MESI-style exclusivity
- * (a write invalidates every remote copy), word-granular last-writer
- * masks for the true/false split, and a dirty-owner map for 3-hop
- * detection. Absolute event counts therefore differ slightly from the
- * Machine's ProcStats (the L1 absorbs some read hits); the profile's
- * job is *ranking and classification*, which the L2-level replay
- * captures exactly.
+ * Determinism: the Machine's replay order is a pure function of the
+ * traces and the machine, so the profile is bit-identical across reruns.
  */
 
 #ifndef DSS_OBS_MEMPROF_HH
@@ -34,27 +30,16 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "obs/json.hh"
 #include "obs/lineinfo.hh"
 #include "sim/addr.hh"
-#include "sim/cache.hh"
-#include "sim/sharing.hh"
+#include "sim/machine.hh"
 #include "sim/trace.hh"
 
 namespace dss {
 namespace obs {
-
-/** Geometry of the profiler's model replay. */
-struct MemProfileConfig
-{
-    sim::CacheConfig l2;  ///< model cache geometry (use the machine's L2)
-    unsigned nprocs = 4;
-    /** Page size for home-node attribution (3-hop detection). */
-    std::size_t pageBytes = 8 * 1024;
-};
 
 /** Everything recorded about one cache line. */
 struct LineRecord
@@ -67,8 +52,8 @@ struct LineRecord
     std::uint64_t conf = 0;
     std::uint64_t coheTrue = 0;
     std::uint64_t coheFalse = 0;
-    std::uint64_t upgrades = 0; ///< writes that hit a non-exclusive copy
-    std::uint64_t hop3 = 0;     ///< misses served dirty from a third node
+    std::uint64_t upgrades = 0; ///< stores/RMWs to a non-exclusive copy
+    std::uint64_t hop3 = 0;     ///< demand transactions crossing 3 hops
 
     std::uint64_t
     misses() const
@@ -80,15 +65,35 @@ struct LineRecord
 class MemProfile
 {
   public:
-    explicit MemProfile(const MemProfileConfig &cfg);
+    /** What the Machine records against a line. */
+    enum class Event : std::uint8_t {
+        Cold,
+        Conf,
+        CoheTrue,
+        CoheFalse,
+        Upgrade,
+        Hop3
+    };
 
     /**
-     * Replay @p traces (indexed by processor) through the model,
-     * accumulating into the profile. Callable repeatedly: warm-start
-     * chains keep the model caches warm across calls, mirroring the
-     * Machine's warm runs.
+     * A profile of machine @p cfg: its coherent level's line size and
+     * set count, and its processor count. Throws std::invalid_argument
+     * on a processor count the sharing tracker cannot hold.
+     */
+    explicit MemProfile(const sim::MachineConfig &cfg);
+
+    /** Does a machine of @p cfg record at this profile's geometry? */
+    bool fits(const sim::MachineConfig &cfg) const;
+
+    /**
+     * Count the accesses, reads and writes of @p traces (indexed by
+     * processor) per line and per class. Lock operations count as
+     * writes. Machine::run calls this for every run it profiles.
      */
     void addTraces(const std::vector<const sim::TraceStream *> &traces);
+
+    /** Record @p ev against coherent line @p line, accessed as @p cls. */
+    void record(sim::Addr line, sim::DataClass cls, Event ev);
 
     /** Per-line records, keyed by line address (deterministic order). */
     const std::map<sim::Addr, LineRecord> &lines() const { return lines_; }
@@ -98,8 +103,6 @@ class MemProfile
 
     /** Conflict misses attributed to cache set @p s. */
     std::uint64_t confOfSet(std::size_t s) const { return confBySet_[s]; }
-
-    const MemProfileConfig &config() const { return cfg_; }
 
     /**
      * Serialize the profile:
@@ -114,21 +117,10 @@ class MemProfile
     Json toJson(unsigned top_n, const RegionMap *symbols = nullptr) const;
 
   private:
-    void replayOne(unsigned p, const sim::TraceEntry &e);
-    void read(unsigned p, sim::Addr addr, sim::DataClass cls,
-              unsigned size);
-    void write(unsigned p, sim::Addr addr, sim::DataClass cls,
-               unsigned size);
     LineRecord &recordOf(sim::Addr line, sim::DataClass cls);
-    void classifyMiss(LineRecord &rec, unsigned p, sim::Addr addr,
-                      sim::Addr line, unsigned size, sim::MissType mt);
-    bool isThreeHop(unsigned p, sim::Addr line) const;
 
-    MemProfileConfig cfg_;
-    std::vector<std::unique_ptr<sim::Cache>> caches_; ///< one model L2/proc
-    sim::SharingTracker tracker_;
-    /** line address -> processor holding it dirty (model MESI owner). */
-    std::map<sim::Addr, unsigned> dirtyOwner_;
+    std::size_t lineBytes_;
+    unsigned nprocs_;
     std::map<sim::Addr, LineRecord> lines_;
     /** Per-data-class aggregate (same fields as a line record). */
     LineRecord classes_[sim::kNumDataClasses];

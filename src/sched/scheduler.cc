@@ -7,7 +7,6 @@
 
 #include "obs/registry.hh"
 #include "obs/stats_json.hh"
-#include "sim/check.hh"
 #include "sim/error.hh"
 #include "sim/fault.hh"
 
@@ -501,22 +500,13 @@ StreamScheduler::run()
     // End-of-stream registry snapshot: machine counters plus the stream
     // layer's own (runOnMachine never snapshots; runSequence's equivalent
     // happens here so the JSON report sees the whole warm stream).
-    if (opts_.registrySnapshot) {
-        obs::Registry reg;
-        machine_.registerStats(reg);
-        if (opts_.checker)
-            opts_.checker->registerStats(reg, "check");
-        if (opts_.faults)
-            opts_.faults->registerStats(reg, "fault");
+    harness::snapshotRegistry(machine_, opts_, [this](obs::Registry &reg) {
         if (cache_) {
             cache_->registerStats(reg, "cache");
             cache_->registerStats(reg, "sched.cache");
         }
-        if (opts_.retryStats)
-            opts_.retryStats->registerStats(reg, "harness.retry");
         registerStats(reg, "sched");
-        *opts_.registrySnapshot = reg.toJson();
-    }
+    });
     return result;
 }
 

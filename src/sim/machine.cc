@@ -4,6 +4,7 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "obs/memprof.hh"
 #include "obs/registry.hh"
 #include "obs/sampler.hh"
 #include "obs/timeline.hh"
@@ -129,26 +130,46 @@ Machine::resetMemoryState()
 }
 
 void
-Machine::enableSharing(bool on)
+Machine::setMemProfile(obs::MemProfile *prof)
 {
-    if (on) {
-        if (!sharing_)
-            sharing_ = std::make_unique<SharingTracker>(cfg_.nprocs);
-    } else {
+    if (prof && !prof->fits(cfg_))
+        throw std::invalid_argument(
+            "Machine: memory profile built for another geometry");
+    memprof_ = prof;
+    if (!prof)
         sharing_.reset();
-    }
+    else if (!sharing_)
+        sharing_ = std::make_unique<SharingTracker>(cfg_.nprocs);
 }
 
 void
-Machine::classifyCoheMiss(ProcStats &st, ProcId p, Addr addr, unsigned size,
-                          Addr l2_line) const
+Machine::classifyCohMiss(ProcStats &st, ProcId p, Addr addr, DataClass cls,
+                         unsigned size, Addr l2_line)
 {
-    const WordMask wm =
-        wordMaskOf(addr, size, l2_line, cfg_.coherent().lineBytes);
-    if (sharing_->isTrueSharing(p, l2_line, wm))
-        ++st.l2CoheTrue;
-    else
-        ++st.l2CoheFalse;
+    const MissType mt = nodes_[p]->coh().classifyMiss(addr);
+    st.levelMisses[nlev_ - 1].add(cls, mt);
+    if (!memprof_)
+        return;
+    using Event = obs::MemProfile::Event;
+    Event ev = mt == MissType::Cold ? Event::Cold : Event::Conf;
+    if (mt == MissType::Cohe) {
+        const WordMask wm =
+            wordMaskOf(addr, size, l2_line, cfg_.coherent().lineBytes);
+        const bool true_sharing = sharing_->isTrueSharing(p, l2_line, wm);
+        ++(true_sharing ? st.l2CoheTrue : st.l2CoheFalse);
+        ev = true_sharing ? Event::CoheTrue : Event::CoheFalse;
+    }
+    memprof_->record(l2_line, cls, ev);
+}
+
+void
+Machine::countHops(ProcStats &st, ProcId p, DataClass cls, Addr l2_line,
+                   ProcId home, ProcId owner, bool dirty_else)
+{
+    const unsigned hop = Directory::hopClass(p, home, owner, dirty_else);
+    st.hopsByGroup[static_cast<std::size_t>(groupOf(cls))][hop]++;
+    if (memprof_ && hop == ProcStats::kNumHopClasses - 1) // 3-hop
+        memprof_->record(l2_line, cls, obs::MemProfile::Event::Hop3);
 }
 
 void
@@ -400,17 +421,12 @@ Machine::readAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
             ++st.levelHits[nlev - 1];
             latency = levelHitLat_[nlev - 1];
         } else {
-            const MissType mt = n.coh().classifyMiss(addr);
-            st.levelMisses[nlev - 1].add(cls, mt);
-            if (sharing_ && mt == MissType::Cohe)
-                classifyCoheMiss(st, p, addr, size, l2_line);
+            classifyCohMiss(st, p, addr, cls, size, l2_line);
             const Directory::Entry v = dir_.entry(l2_line);
             const ProcId home = dir_.homeOf(l2_line);
             const bool dirty_else =
                 v.state == Directory::State::Dirty && v.owner != p;
-            st.hopsByGroup[static_cast<std::size_t>(groupOf(cls))]
-                          [Directory::hopClass(p, home, v.owner,
-                                               dirty_else)]++;
+            countHops(st, p, cls, l2_line, home, v.owner, dirty_else);
             const Cycles qdelay = dir_.acquireController(home, r.clock);
             latency =
                 dir_.transactionLatency(p, home, v.owner, dirty_else) +
@@ -443,7 +459,6 @@ Machine::writeTransaction(ProcId p, Addr addr, DataClass cls,
     const Addr l2_line = n.coh().lineAddrOf(addr);
     const Directory::Entry v = dir_.entry(l2_line);
     const ProcId home = dir_.homeOf(l2_line);
-    const auto grp = static_cast<std::size_t>(groupOf(cls));
 
     Cycles drain;
     if (n.coh().contains(l2_line)) {
@@ -453,8 +468,10 @@ Machine::writeTransaction(ProcId p, Addr addr, DataClass cls,
             drain = cohHitLat_;
         } else {
             // Upgrade: invalidate the other sharers via the home node.
-            r.stats.hopsByGroup[grp]
-                [Directory::hopClass(p, home, p, false)]++;
+            countHops(r.stats, p, cls, l2_line, home, p, false);
+            if (memprof_)
+                memprof_->record(l2_line, cls,
+                                 obs::MemProfile::Event::Upgrade);
             const Cycles qdelay = dir_.acquireController(home, r.clock);
             drain = dir_.transactionLatency(p, home, p, false) + qdelay;
         }
@@ -465,8 +482,7 @@ Machine::writeTransaction(ProcId p, Addr addr, DataClass cls,
         // structures and pick the line up on the next read miss.
         const bool dirty_else =
             v.state == Directory::State::Dirty && v.owner != p;
-        r.stats.hopsByGroup[grp]
-            [Directory::hopClass(p, home, v.owner, dirty_else)]++;
+        countHops(r.stats, p, cls, l2_line, home, v.owner, dirty_else);
         const Cycles qdelay = dir_.acquireController(home, r.clock);
         drain = dir_.transactionLatency(p, home, v.owner, dirty_else) +
                 qdelay;
@@ -539,16 +555,13 @@ Machine::rmwAccess(ProcId p, Addr addr, DataClass cls, unsigned size)
         n.coh().access(addr, /*set_dirty=*/true);
         latency = cohHitLat_;
     } else {
-        if (!l2has && !l1hit) {
-            const MissType mt = n.coh().classifyMiss(addr);
-            st.levelMisses[nlev - 1].add(cls, mt);
-            if (sharing_ && mt == MissType::Cohe)
-                classifyCoheMiss(st, p, addr, size, l2_line);
-        }
+        if (!l2has && !l1hit)
+            classifyCohMiss(st, p, addr, cls, size, l2_line);
+        else if (l2has && memprof_)
+            memprof_->record(l2_line, cls, obs::MemProfile::Event::Upgrade);
         const bool dirty_else =
             v.state == Directory::State::Dirty && v.owner != p;
-        st.hopsByGroup[static_cast<std::size_t>(groupOf(cls))]
-                      [Directory::hopClass(p, home, v.owner, dirty_else)]++;
+        countHops(st, p, cls, l2_line, home, v.owner, dirty_else);
         const Cycles qdelay = dir_.acquireController(home, r.clock);
         latency = dir_.transactionLatency(p, home, v.owner, dirty_else) +
                   qdelay;
@@ -895,6 +908,8 @@ Machine::run(const std::vector<const TraceStream *> &traces,
     // immutable for the whole run, and first-touch claims are a pure
     // function of the traces.
     placement_->beginRun(traces);
+    if (memprof_)
+        memprof_->addTraces(traces);
 
     sampler_ = sampler;
     timeline_ = timeline;
@@ -1056,7 +1071,7 @@ Machine::registerStats(obs::Registry &reg, const std::string &prefix) const
              [](const ProcStats &s) { return s.prefetchesUseful; });
 
         // True/false-sharing split of the L2 coherence misses. The split
-        // counters stay zero unless enableSharing is on; when it is,
+        // counters stay zero unless a memory profile is attached; then
         // miss.cohe.true + miss.cohe.false == miss.cohe exactly (the
         // memprof check mode asserts this).
         proc("miss.cohe", [](const ProcStats &s) {

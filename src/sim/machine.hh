@@ -42,6 +42,7 @@
 
 namespace dss {
 namespace obs {
+class MemProfile;
 class Registry;
 class Sampler;
 class Timeline;
@@ -177,15 +178,19 @@ class Machine
     const PlacementPolicy &placement() const { return *placement_; }
 
     /**
-     * Enable word-granular sharing tracking (sim/sharing.hh, the
-     * --memprof flag) so L2 coherence misses split into true vs. false
-     * sharing (ProcStats::l2CoheTrue/l2CoheFalse and the
-     * proc*.miss.cohe.{true,false} registry counters). Off by default;
-     * when off the pipelines pay a single null test inside the miss
-     * branches and the split counters stay zero. Enabling mid-experiment
-     * starts from an empty history, exactly like a cold classification.
+     * Attach a line-level memory profile (obs/memprof.hh, the --memprof
+     * flag); pass nullptr to detach. The machine records its own miss
+     * classes, upgrades and 3-hop transactions into it, and each run()
+     * adds its traces' access counts. Attaching also arms the
+     * word-granular sharing tracker (sim/sharing.hh), so coherence misses
+     * split into true vs. false sharing (ProcStats::l2CoheTrue/
+     * l2CoheFalse and the proc*.miss.cohe.{true,false} counters);
+     * attaching mid-experiment starts from an empty sharing history.
+     * Detached, the pipelines pay a single null test inside the miss
+     * branches and the split counters stay zero. Throws
+     * std::invalid_argument for a profile of another geometry.
      */
-    void enableSharing(bool on);
+    void setMemProfile(obs::MemProfile *prof);
 
     /** The sharing tracker, or nullptr when disabled (tests). */
     const SharingTracker *sharingTracker() const { return sharing_.get(); }
@@ -399,12 +404,17 @@ class Machine
     void applyPrefetchShareDir(ProcId p, Addr l2_line);
 
     /**
-     * Split-classify an L2 coherence miss into true/false sharing. Only
-     * called from the pipelines' (rare) Cohe miss branches, and a no-op
-     * unless enableSharing is on. Reads the tracker without mutating it.
+     * Classify a coherent-level demand miss (read or RMW) of @p p into
+     * @p st; with a profile attached, split a coherence miss into
+     * true/false sharing and record the class against the line.
      */
-    void classifyCoheMiss(ProcStats &st, ProcId p, Addr addr, unsigned size,
-                          Addr l2_line) const;
+    void classifyCohMiss(ProcStats &st, ProcId p, Addr addr, DataClass cls,
+                         unsigned size, Addr l2_line);
+
+    /** Count a demand directory transaction of @p p by hop class (and
+     * record a 3-hop one against the line when profiling). */
+    void countHops(ProcStats &st, ProcId p, DataClass cls, Addr l2_line,
+                   ProcId home, ProcId owner, bool dirty_else);
 
     void step(ProcId p);
     /** Dispatch one explicit entry through the pipelines (step() body;
@@ -452,7 +462,9 @@ class Machine
     obs::Timeline *timeline_ = nullptr; ///< valid during run()
     FaultPlan *fault_ = nullptr;        ///< optional, not owned
     InvariantChecker *checker_ = nullptr; ///< optional, not owned
-    /** Word-granular sharing tracker; null unless enableSharing(true). */
+    /** Line-level profile; null unless setMemProfile attached one. */
+    obs::MemProfile *memprof_ = nullptr;
+    /** Word-granular sharing tracker; allocated iff memprof_ is set. */
     std::unique_ptr<SharingTracker> sharing_;
     /** Fallback interleave policy owned by the machine, so homeOf always
      * takes the precomputed-table fast path even with no external

@@ -11,6 +11,10 @@
  * *false sharing* otherwise (it only shares residence in the line with the
  * remotely-written words).
  *
+ * The Machine owns the one tracker, and only while a line-level memory
+ * profile is attached (Machine::setMemProfile, the --memprof flag): the
+ * profile records the Machine's split, it keeps no tracker of its own.
+ *
  * Determinism: the masks are mutated exclusively by the Machine's
  * directory operators (applyStoreDir / applyReadFillDir /
  * applyPrefetchShareDir), which run in replay order alongside the
@@ -18,9 +22,9 @@
  * across reruns.
  *
  * Cost: one unordered_map entry (nprocs x 8 bytes) per line that has ever
- * been written while shared. The tracker is only instantiated when the
- * profiler is enabled (Machine::enableSharing), so the disabled hot path
- * pays a single null-pointer test inside the (already rare) miss branches.
+ * been written while shared. Without a profile no tracker exists, so the
+ * hot path pays a single null-pointer test inside the (already rare)
+ * miss branches.
  */
 
 #ifndef DSS_SIM_SHARING_HH

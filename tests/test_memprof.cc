@@ -1,12 +1,16 @@
 /**
  * @file
- * Line-level memory profiler: true/false-sharing classification of
- * synthetic ping-pong patterns, conflict-miss set attribution, region
- * symbolization, rerun bit-identity of the profile, and the
- * disabled-mode guarantees (no tracker allocated, split counters zero).
+ * Line-level memory profiler, recorded by a Machine with the profile
+ * attached: true/false-sharing classification of synthetic ping-pong
+ * patterns, conflict-miss set attribution, region symbolization, rerun
+ * bit-identity of the profile, reconciliation of its totals with the
+ * Machine's own counters, and the unprofiled-mode guarantees (no tracker
+ * allocated, split counters zero).
  */
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +21,7 @@
 #include "obs/memprof.hh"
 #include "sim/arena.hh"
 #include "sim/machine.hh"
+#include "sim/placement.hh"
 #include "sim/sharing.hh"
 #include "sim/trace.hh"
 
@@ -26,12 +31,16 @@ using namespace dss;
 
 constexpr sim::Addr kLine = sim::AddressSpace::kSharedBase; // line-aligned
 
-obs::MemProfileConfig
+/** @p nprocs processors with a 4 KB direct-mapped coherent L2 (64 sets
+ * of 64 B lines) under a 1 KB L1. */
+sim::MachineConfig
 smallConfig(unsigned nprocs = 2)
 {
-    obs::MemProfileConfig cfg;
-    cfg.l2 = {4 * 1024, 64, 1};
+    sim::MachineConfig cfg = sim::MachineConfig::baseline();
     cfg.nprocs = nprocs;
+    cfg.l1().sizeBytes = 1024;
+    cfg.l2().sizeBytes = 4 * 1024;
+    cfg.l2().assoc = 1;
     return cfg;
 }
 
@@ -42,6 +51,19 @@ ptrs(const std::vector<sim::TraceStream> &streams)
     for (const sim::TraceStream &s : streams)
         out.push_back(&s);
     return out;
+}
+
+/** Replay @p streams on a fresh machine of @p cfg recording into a
+ * fresh profile. */
+obs::MemProfile
+profileOf(const sim::MachineConfig &cfg,
+          const std::vector<sim::TraceStream> &streams)
+{
+    obs::MemProfile prof(cfg);
+    sim::Machine machine(cfg);
+    machine.setMemProfile(&prof);
+    (void)machine.run(ptrs(streams));
+    return prof;
 }
 
 // ------------------------------------------------------------ region map
@@ -75,44 +97,68 @@ TEST(RegionMap, RejectsOverlappingRegions)
 
 // --------------------------------------------- true / false classification
 
-/** Two writers ping-ponging the SAME word: every coherence miss consumes
- * remotely-written data, so the split must be all-true. */
+/** Compute time between the accesses of a round: longer than any miss,
+ * so the processors' rounds interleave on the machine. */
+constexpr sim::Cycles kThink = 1000;
+
+/** Two processors taking turns: processor 1 starts half a round late. */
+std::vector<sim::TraceStream>
+staggered()
+{
+    std::vector<sim::TraceStream> streams(2);
+    streams[1].record(sim::TraceEntry::busy(kThink / 2));
+    return streams;
+}
+
+/** Both processors read-modify-write one word of kLine in turns,
+ * @p rounds times: processor 0 the word at offset 0, processor 1 the
+ * word at @p offset1. The read makes each processor's miss a classified
+ * one: the machine classifies read and RMW misses, while a
+ * write-allocate is a directory transaction. */
+std::vector<sim::TraceStream>
+pingPong(unsigned rounds, sim::Addr offset1)
+{
+    std::vector<sim::TraceStream> streams = staggered();
+    for (unsigned i = 0; i < rounds; ++i)
+        for (unsigned p = 0; p < 2; ++p) {
+            const sim::Addr a = kLine + (p ? offset1 : 0);
+            streams[p].record(sim::TraceEntry::busy(kThink));
+            streams[p].record(
+                sim::TraceEntry::read(a, sim::DataClass::Data, 8));
+            streams[p].record(
+                sim::TraceEntry::write(a, sim::DataClass::Data, 8));
+        }
+    return streams;
+}
+
+/** Two processors ping-ponging the SAME word: every coherence miss
+ * consumes remotely-written data, so the split must be all-true. */
 TEST(MemProfile, SameWordPingPongIsTrueSharing)
 {
-    obs::MemProfile prof(smallConfig());
     const unsigned kRounds = 10;
-    std::vector<sim::TraceStream> streams(2);
-    for (unsigned i = 0; i < kRounds; ++i)
-        for (unsigned p = 0; p < 2; ++p)
-            streams[p].record(
-                sim::TraceEntry::write(kLine, sim::DataClass::Data, 8));
-    prof.addTraces(ptrs(streams));
+    const obs::MemProfile prof =
+        profileOf(smallConfig(), pingPong(kRounds, 0));
 
     ASSERT_EQ(prof.lines().count(kLine), 1u);
     const obs::LineRecord &rec = prof.lines().at(kLine);
+    EXPECT_EQ(rec.reads, 2u * kRounds);
     EXPECT_EQ(rec.writes, 2u * kRounds);
-    // First touch of each model cache is cold; after that every write
-    // misses on the other writer's invalidation and reads back the very
-    // word it dirtied.
+    // Each processor's first read is cold; after that every read misses
+    // on the other's invalidation and reads back the very word it
+    // dirtied, and every write upgrades the copy that read fetched.
     EXPECT_EQ(rec.cold, 2u);
     EXPECT_EQ(rec.coheTrue, 2u * (kRounds - 1));
     EXPECT_EQ(rec.coheFalse, 0u);
+    EXPECT_EQ(rec.upgrades, 2u * kRounds);
 }
 
-/** Two writers ping-ponging DISJOINT words of one line: the misses are
- * pure line-granularity artifacts, so the split must be all-false. */
+/** Two processors ping-ponging DISJOINT words of one line: the misses
+ * are pure line-granularity artifacts, so the split must be all-false. */
 TEST(MemProfile, DisjointWordPingPongIsFalseSharing)
 {
-    obs::MemProfile prof(smallConfig());
     const unsigned kRounds = 10;
-    std::vector<sim::TraceStream> streams(2);
-    for (unsigned i = 0; i < kRounds; ++i) {
-        streams[0].record(
-            sim::TraceEntry::write(kLine, sim::DataClass::Data, 8));
-        streams[1].record(
-            sim::TraceEntry::write(kLine + 56, sim::DataClass::Data, 8));
-    }
-    prof.addTraces(ptrs(streams));
+    const obs::MemProfile prof =
+        profileOf(smallConfig(), pingPong(kRounds, 56));
 
     const obs::LineRecord &rec = prof.lines().at(kLine);
     EXPECT_EQ(rec.cold, 2u);
@@ -126,16 +172,17 @@ TEST(MemProfile, ReaderClassifiesByWordOverlap)
 {
     const unsigned kRounds = 8;
     for (bool overlap : {true, false}) {
-        obs::MemProfile prof(smallConfig());
-        std::vector<sim::TraceStream> streams(2);
+        std::vector<sim::TraceStream> streams = staggered();
         const sim::Addr read_at = overlap ? kLine : kLine + 32;
         for (unsigned i = 0; i < kRounds; ++i) {
+            for (sim::TraceStream &s : streams)
+                s.record(sim::TraceEntry::busy(kThink));
             streams[0].record(
                 sim::TraceEntry::write(kLine, sim::DataClass::Data, 8));
             streams[1].record(
                 sim::TraceEntry::read(read_at, sim::DataClass::Data, 8));
         }
-        prof.addTraces(ptrs(streams));
+        const obs::MemProfile prof = profileOf(smallConfig(), streams);
 
         const obs::LineRecord &rec = prof.lines().at(kLine);
         EXPECT_EQ(rec.reads, kRounds);
@@ -150,25 +197,29 @@ TEST(MemProfile, ReaderClassifiesByWordOverlap)
     }
 }
 
-/** Lock acquire/release trace entries replay as stores and classify. */
+/** Lock acquire/release trace entries count as writes; the acquire's
+ * test&set classifies its miss like a read. */
 TEST(MemProfile, LockOpsCountAsWrites)
 {
-    obs::MemProfile prof(smallConfig());
-    std::vector<sim::TraceStream> streams(2);
+    std::vector<sim::TraceStream> streams = staggered();
     for (unsigned i = 0; i < 6; ++i)
         for (unsigned p = 0; p < 2; ++p) {
+            streams[p].record(sim::TraceEntry::busy(kThink));
             streams[p].record(
                 sim::TraceEntry::lockAcq(kLine, sim::DataClass::LockSLock));
             streams[p].record(
                 sim::TraceEntry::lockRel(kLine, sim::DataClass::LockSLock));
         }
-    prof.addTraces(ptrs(streams));
+    const obs::MemProfile prof = profileOf(smallConfig(), streams);
 
     const obs::LineRecord &rec = prof.lines().at(kLine);
     EXPECT_EQ(rec.cls, sim::DataClass::LockSLock);
     EXPECT_EQ(rec.writes, 24u);
     EXPECT_EQ(rec.reads, 0u);
-    EXPECT_GT(rec.coheTrue, 0u); // lock word: same-word ping-pong
+    // Lock word: same-word ping-pong. Each test&set after the first
+    // per processor misses on the other's release.
+    EXPECT_EQ(rec.cold, 2u);
+    EXPECT_EQ(rec.coheTrue, 2u * 6 - 2);
     EXPECT_EQ(rec.coheFalse, 0u);
 }
 
@@ -178,14 +229,13 @@ TEST(MemProfile, ConflictMissesAttributeToTheirSet)
 {
     // 4 KB direct-mapped, 64 B lines -> 64 sets; a stride of 4 KB maps
     // every address to the same set.
-    obs::MemProfile prof(smallConfig(1));
     const unsigned kRounds = 5;
     std::vector<sim::TraceStream> streams(1);
     for (unsigned i = 0; i < kRounds; ++i)
         for (unsigned k = 0; k < 3; ++k)
             streams[0].record(sim::TraceEntry::read(
                 kLine + k * 4096, sim::DataClass::Data, 8));
-    prof.addTraces(ptrs(streams));
+    const obs::MemProfile prof = profileOf(smallConfig(1), streams);
 
     const std::size_t set = (kLine / 64) % 64;
     obs::LineRecord tot = prof.totals();
@@ -205,17 +255,18 @@ TEST(MemProfile, ConflictMissesAttributeToTheirSet)
 
 TEST(MemProfile, SymbolizesThroughRegionMapWithClassFallback)
 {
-    obs::MemProfile prof(smallConfig());
     std::vector<sim::TraceStream> streams(2);
-    const sim::Addr unmapped = kLine + 4096;
+    const sim::Addr unmapped = kLine + 4096 + 64; // another set
     for (unsigned i = 0; i < 4; ++i)
         for (unsigned p = 0; p < 2; ++p) {
-            streams[p].record(sim::TraceEntry::write(
-                kLine, sim::DataClass::LockSLock, 8));
-            streams[p].record(sim::TraceEntry::write(
-                unmapped, sim::DataClass::LockHash, 8));
+            for (auto [addr, cls] :
+                 {std::pair{kLine, sim::DataClass::LockSLock},
+                  std::pair{unmapped, sim::DataClass::LockHash}}) {
+                streams[p].record(sim::TraceEntry::read(addr, cls, 8));
+                streams[p].record(sim::TraceEntry::write(addr, cls, 8));
+            }
         }
-    prof.addTraces(ptrs(streams));
+    const obs::MemProfile prof = profileOf(smallConfig(), streams);
 
     obs::RegionMap symbols;
     symbols.add(kLine, 64, "LockMgrLock");
@@ -243,7 +294,7 @@ TEST(MemProfile, SymbolizesThroughRegionMapWithClassFallback)
 
 // --------------------------------------------------- workload determinism
 
-/** The profile is a pure function of the traces: the JSON must be
+/** The Machine's replay is deterministic, so the profile's JSON must be
  * byte-identical on a rerun. */
 TEST(MemProfile, ProfileBitIdenticalAcrossEnginesAndThreads)
 {
@@ -251,18 +302,13 @@ TEST(MemProfile, ProfileBitIdenticalAcrossEnginesAndThreads)
     const sim::MachineConfig cfg = sim::MachineConfig::baseline();
     harness::TraceSet traces = wl.trace(tpcd::QueryId::Q6);
 
-    obs::MemProfileConfig mc;
-    mc.l2 = cfg.coherent();
-    mc.nprocs = cfg.nprocs;
-    mc.pageBytes = cfg.pageBytes;
-
     obs::RegionMap symbols;
     wl.db().catalog().describeRegions(symbols);
     ASSERT_GT(symbols.size(), 0u);
 
     std::string dumps[2];
     for (std::string &dump : dumps) {
-        obs::MemProfile prof(mc);
+        obs::MemProfile prof(cfg);
         harness::RunOptions ro;
         ro.memProfile = &prof;
         (void)harness::runCold(cfg, traces, ro);
@@ -272,7 +318,7 @@ TEST(MemProfile, ProfileBitIdenticalAcrossEnginesAndThreads)
     EXPECT_EQ(dumps[0], dumps[1]);
 }
 
-/** With sharing enabled, the machine's own split reconciles exactly:
+/** With a profile attached, the machine's own split reconciles exactly:
  * per proc, l2CoheTrue + l2CoheFalse == the Cohe column of l2Misses. */
 TEST(MemProfile, MachineSplitReconcilesWithCoherenceMisses)
 {
@@ -280,7 +326,7 @@ TEST(MemProfile, MachineSplitReconcilesWithCoherenceMisses)
     const sim::MachineConfig cfg = sim::MachineConfig::baseline();
     harness::TraceSet traces = wl.trace(tpcd::QueryId::Q3);
 
-    obs::MemProfile prof({cfg.coherent(), cfg.nprocs, cfg.pageBytes});
+    obs::MemProfile prof(cfg);
     harness::RunOptions ro;
     ro.memProfile = &prof;
     obs::Json snapshot;
@@ -307,10 +353,69 @@ TEST(MemProfile, MachineSplitReconcilesWithCoherenceMisses)
     EXPECT_GT(total_cohe, 0u); // Q3 on 4 procs does share
 }
 
+/** The profile holds the Machine's numbers: per class and miss type its
+ * totals equal the coherent-level miss table, its true/false split the
+ * machine's split, and its 3-hop count the machine's 3-hop
+ * transactions — under interleaved and first-touch homes alike. */
+TEST(MemProfile, TotalsReconcileWithMachineCounters)
+{
+    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4, 42);
+    const sim::MachineConfig cfg = sim::MachineConfig::baseline();
+    const sim::PlacementPolicy::Geometry g{
+        cfg.nprocs, cfg.pageBytes, sim::AddressSpace::kPrivateBase,
+        sim::AddressSpace::kPrivateStride};
+    for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
+                            tpcd::QueryId::Q12}) {
+        const harness::TraceSet traces = wl.trace(q);
+        for (bool first_touch : {false, true}) {
+            SCOPED_TRACE(std::string(tpcd::queryName(q)) +
+                         (first_touch ? " first-touch" : " interleave"));
+            auto placement = first_touch
+                                 ? sim::PlacementPolicy::firstTouch(g)
+                                 : sim::PlacementPolicy::interleave(g);
+            obs::MemProfile prof(cfg);
+            harness::RunOptions ro;
+            ro.memProfile = &prof;
+            ro.placement = placement.get();
+            const sim::ProcStats agg =
+                harness::runCold(cfg, traces, ro).aggregate();
+
+            const obs::Json doc = prof.toJson(1);
+            const obs::Json &classes = *doc.find("classes");
+            for (std::size_t c = 0; c < sim::kNumDataClasses; ++c) {
+                const auto cls = static_cast<sim::DataClass>(c);
+                const obs::Json *rec =
+                    classes.find(std::string(sim::dataClassName(cls)));
+                auto field = [&](const char *key) {
+                    return rec ? rec->find(key)->asUint() : 0;
+                };
+                const sim::MissTable &m = agg.cohMisses();
+                EXPECT_EQ(field("cold"), m.of(cls, sim::MissType::Cold))
+                    << sim::dataClassName(cls);
+                EXPECT_EQ(field("conf"), m.of(cls, sim::MissType::Conf))
+                    << sim::dataClassName(cls);
+                EXPECT_EQ(field("coheTrue") + field("coheFalse"),
+                          m.of(cls, sim::MissType::Cohe))
+                    << sim::dataClassName(cls);
+            }
+
+            const obs::LineRecord tot = prof.totals();
+            EXPECT_EQ(tot.coheTrue, agg.l2CoheTrue);
+            EXPECT_EQ(tot.coheFalse, agg.l2CoheFalse);
+            std::uint64_t hop3 = 0;
+            for (const auto &by_hop : agg.hopsByGroup)
+                hop3 += by_hop[sim::ProcStats::kNumHopClasses - 1];
+            EXPECT_EQ(tot.hop3, hop3);
+            EXPECT_GT(tot.misses(), 0u);
+        }
+    }
+}
+
 // ------------------------------------------------------------- disabled
 
-/** Without a profiler the machine must not even allocate the tracker,
- * and the split counters stay zero while plain cohe counts flow. */
+/** Without a profile the machine must not even allocate the tracker,
+ * and the split counters stay zero while plain cohe counts flow.
+ * Attaching a profile arms the tracker; detaching frees it. */
 TEST(MemProfile, DisabledMachineAllocatesNoTrackerAndSplitsNothing)
 {
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4, 42);
@@ -331,13 +436,19 @@ TEST(MemProfile, DisabledMachineAllocatesNoTrackerAndSplitsNothing)
                                    sim::MissType::Cohe);
     }
     EXPECT_GT(cohe, 0u); // the misses themselves still happen
+
+    obs::MemProfile prof(cfg);
+    machine.setMemProfile(&prof);
+    EXPECT_NE(machine.sharingTracker(), nullptr);
+    machine.setMemProfile(nullptr);
+    EXPECT_EQ(machine.sharingTracker(), nullptr);
 }
 
 // ------------------------------------------------------------ api misuse
 
 TEST(MemProfile, RejectsBadProcessorCounts)
 {
-    obs::MemProfileConfig cfg = smallConfig();
+    sim::MachineConfig cfg = smallConfig();
     cfg.nprocs = 0;
     EXPECT_THROW(obs::MemProfile{cfg}, std::invalid_argument);
     cfg.nprocs = sim::SharingTracker::kMaxProcs + 1;
@@ -346,6 +457,11 @@ TEST(MemProfile, RejectsBadProcessorCounts)
     obs::MemProfile prof(smallConfig(1));
     std::vector<sim::TraceStream> streams(2);
     EXPECT_THROW(prof.addTraces(ptrs(streams)), std::invalid_argument);
+
+    // A profile records one machine: a machine with another processor
+    // count refuses it.
+    sim::Machine machine(smallConfig(2));
+    EXPECT_THROW(machine.setMemProfile(&prof), std::invalid_argument);
 }
 
 } // namespace
