@@ -22,14 +22,12 @@ using namespace dss;
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Ablation: per-rescan lock-manager discipline ===\n\n";
 
     harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    session.setDatabase(wl.db().space());
     session.wireMemprof(cfg, &wl.db().catalog());
 
     harness::TextTable tab({"query", "relock", "exec cycles", "MSync%",

@@ -47,9 +47,7 @@ run(harness::BenchContext &ctx)
     harness::Workload wl(opts.scaleConfig(), 4);
     const sim::MachineConfig cfg = ctx.config();
     session.wireMemprof(cfg, &wl.db().catalog());
-    const sim::PlacementPolicy::Geometry g{
-        cfg.nprocs, cfg.pageBytes, sim::AddressSpace::kPrivateBase,
-        sim::AddressSpace::kPrivateStride};
+    session.setDatabase(wl.db().space());
 
     const sim::PlacementKind kinds[] = {
         sim::PlacementKind::Interleave, sim::PlacementKind::FirstTouch,
@@ -74,28 +72,13 @@ run(harness::BenchContext &ctx)
         std::uint64_t base_hop3 = 0;
 
         for (sim::PlacementKind kind : kinds) {
-            std::unique_ptr<sim::PlacementPolicy> policy;
-            switch (kind) {
-              case sim::PlacementKind::Interleave:
-                policy = sim::PlacementPolicy::interleave(g);
-                break;
-              case sim::PlacementKind::FirstTouch:
-                policy = sim::PlacementPolicy::firstTouch(g);
-                break;
-              case sim::PlacementKind::ClassAffinity:
-                policy =
-                    sim::PlacementPolicy::classAffinity(g, wl.db().space());
-                break;
-              case sim::PlacementKind::Profile:
-                policy = sim::PlacementPolicy::profile(g, hist);
-                break;
-            }
-
+            const char *name = sim::placementKindName(kind);
             harness::RunOptions ro = session.runOptions();
-            ro.placement = policy.get();
+            ro.placementSpec.kind = kind;
+            ro.placementHistogram = &hist;
             sim::SimStats stats = harness::runCold(cfg, traces, ro);
-            const std::string label = std::string(tpcd::queryName(q)) +
-                                      "/" + policy->name();
+            const std::string label =
+                std::string(tpcd::queryName(q)) + "/" + name;
             session.addRun(label, stats);
 
             sim::ProcStats agg = stats.aggregate();
@@ -114,7 +97,7 @@ run(harness::BenchContext &ctx)
                            static_cast<double>(base_hop3)) /
                           static_cast<double>(base_hop3)
                     : 0.0;
-            tab.addRow({policy->name(), std::to_string(tb.total),
+            tab.addRow({name, std::to_string(tb.total),
                         harness::fixed(100 * tb.busy),
                         harness::fixed(100 * tb.mem),
                         harness::fixed(100 * tb.msync),
@@ -125,7 +108,7 @@ run(harness::BenchContext &ctx)
             if (session.wantJson()) {
                 obs::Json row = obs::Json::object();
                 row["query"] = tpcd::queryName(q);
-                row["policy"] = policy->name();
+                row["policy"] = name;
                 row["execCycles"] = tb.total;
                 row["busyPct"] = 100 * tb.busy;
                 row["memPct"] = 100 * tb.mem;

@@ -18,14 +18,12 @@ using namespace dss;
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Ablation: sequential prefetch degree (exec time, "
                  "Base=100) ===\n\n";
 
     harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
-    session.usePlacement(harness::makePlacement(
-        opts, ctx.config(), &wl.db().space()));
+    session.setDatabase(wl.db().space());
     session.wireMemprof(ctx.config(),
                         &wl.db().catalog());
 

@@ -22,7 +22,6 @@ using namespace dss;
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Ablation: inter-query workload vs. processor count "
                  "===\n\n";
@@ -39,13 +38,9 @@ run(harness::BenchContext &ctx)
             // Re-arms per sweep point: the JSON memprof block
             // reports the last point's profile.
             session.wireMemprof(cfg, &wl.db().catalog());
-            // The machine geometry changes per point, so the placement
-            // policy is rebuilt here rather than adopted by the session.
-            auto placement =
-                harness::makePlacement(opts, cfg, &wl.db().space());
-            harness::RunOptions ro = session.runOptions();
-            ro.placement = placement.get();
-            sim::SimStats stats = harness::runCold(cfg, traces, ro);
+            session.setDatabase(wl.db().space());
+            sim::SimStats stats =
+                harness::runCold(cfg, traces, session.runOptions());
             session.addRun(tpcd::queryName(q) + "/procs=" +
                                std::to_string(nprocs),
                            stats);

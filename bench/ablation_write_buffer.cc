@@ -36,7 +36,6 @@ traceUF1(tpcd::TpcdDb &db, unsigned orders)
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Ablation: write-buffer depth ===\n\n";
 
@@ -56,15 +55,13 @@ run(harness::BenchContext &ctx)
           {"UF1 (write-heavy, 1 proc)", &uf1, 1u, &update_db.space()}}) {
         harness::TextTable tab({"entries", "exec cycles", "overflows",
                                 "Mem%"});
+        session.setDatabase(*space);
         for (std::size_t entries : {1, 4, 16, 64}) {
             sim::MachineConfig cfg = ctx.config();
             cfg.nprocs = procs;
             cfg.writeBufferEntries = entries;
-            // Geometry (nprocs) and address space differ per workload.
-            auto placement = harness::makePlacement(opts, cfg, space);
-            harness::RunOptions ro = session.runOptions();
-            ro.placement = placement.get();
-            sim::SimStats stats = harness::runCold(cfg, *traces, ro);
+            sim::SimStats stats =
+                harness::runCold(cfg, *traces, session.runOptions());
             session.addRun(std::string(name) + "/entries=" +
                                std::to_string(entries),
                            stats);

@@ -35,8 +35,7 @@ run(harness::BenchContext &ctx)
 
     harness::Workload wl(opts.scaleConfig(), 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    session.setDatabase(wl.db().space());
     session.wireMemprof(cfg, &wl.db().catalog());
 
     // Sweep a fixed ladder of rates, plus the user's --fault-rate when it

@@ -25,14 +25,12 @@ using namespace dss;
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Extension: intra-query parallelism for Q6 ===\n\n";
 
     harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    session.setDatabase(wl.db().space());
     session.wireMemprof(cfg, &wl.db().catalog());
 
     // (a) One processor runs the whole Q6.

@@ -25,14 +25,12 @@ using namespace dss;
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Extension: flat vs. nested Q4 ===\n\n";
 
     harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    session.setDatabase(wl.db().space());
     session.wireMemprof(cfg, &wl.db().catalog());
 
     harness::TraceSet flat = wl.trace(tpcd::QueryId::Q4, 1);

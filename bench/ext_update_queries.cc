@@ -54,7 +54,6 @@ traceUpdate(tpcd::TpcdDb &db, bool uf1, unsigned orders, std::uint64_t seed)
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Extension: TPC-D update functions UF1 / UF2 "
                  "(single processor) ===\n\n";
@@ -66,7 +65,7 @@ run(harness::BenchContext &ctx)
 
     sim::MachineConfig cfg = ctx.config();
     cfg.nprocs = 1;
-    session.usePlacement(harness::makePlacement(opts, cfg, &db.space()));
+    session.setDatabase(db.space());
     session.wireMemprof(cfg, &db.catalog());
 
     // A rival transaction holds the orders relation write-locked, so the

@@ -81,8 +81,7 @@ run(harness::BenchContext &ctx)
     harness::Workload wl(opts.scaleConfig(), 4);
     sim::MachineConfig cfg = ctx.config().withCacheSizes(
         1 << 20, 32 << 20);
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    session.setDatabase(wl.db().space());
     session.wireMemprof(cfg, &wl.db().catalog());
 
     // Distinct parameter seeds: the warm-up query is "the same query using

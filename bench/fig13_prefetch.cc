@@ -23,15 +23,13 @@ using namespace dss;
 int
 run(harness::BenchContext &ctx)
 {
-    harness::BenchOptions &opts = ctx.opts;
     harness::ObsSession &session = ctx.session;
     std::cout << "=== Figure 13: sequential data prefetching (Base = 100) "
                  "===\n\n";
 
     harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
     const sim::MachineConfig base_cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, base_cfg, &wl.db().space()));
+    session.setDatabase(wl.db().space());
     session.wireMemprof(base_cfg, &wl.db().catalog());
     sim::MachineConfig opt_cfg = base_cfg;
     opt_cfg.prefetchData = true;

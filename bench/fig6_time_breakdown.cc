@@ -29,8 +29,7 @@ run(harness::BenchContext &ctx)
 
     harness::Workload wl(opts.scaleConfig(), 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    session.setDatabase(wl.db().space());
     session.wireMemprof(cfg, &wl.db().catalog());
 
     const tpcd::QueryId queries[] = {tpcd::QueryId::Q3, tpcd::QueryId::Q6,

@@ -127,8 +127,7 @@ run(harness::BenchContext &ctx)
     harness::ObsSession &session = ctx.session;
     const sim::MachineConfig &cfg = ctx.config();
     harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);
-    session.usePlacement(
-        harness::makePlacement(ctx.opts, cfg, &wl.db().space()));
+    session.setDatabase(wl.db().space());
     session.wireMemprof(cfg, &wl.db().catalog());
 
     Axis line;
@@ -140,8 +139,8 @@ run(harness::BenchContext &ctx)
         line.labels.push_back(std::to_string(bytes) + "B");
         line.configs.push_back(cfg.withLineSize(bytes));
     }
-    // A machine may reject the cache-size points (on `modern` the sized
-    // coherent level would be smaller than its L2). The line-size
+    // A machine may reject the cache-size points (a spec whose L1 ways
+    // cannot shrink to 4K, for example). The line-size
     // figures still print, and the rejection exits 3 after the Fig 10
     // and Fig 11 headers, as it did when each figure had its own binary.
     Axis size;

@@ -48,12 +48,12 @@ PointResult
 runPoint(harness::Workload &wl, const sim::MachineConfig &cfg,
          const sched::StreamConfig &scfg,
          const sched::ResilienceConfig &res, const sim::FaultConfig &fc,
-         sched::TraceCache *cache)
+         sched::TraceCache *cache, harness::RunOptions ro)
 {
     // A fresh plan per point keeps the fired-outage log per point; the
-    // windows themselves are a pure function of the seed.
+    // windows themselves are a pure function of the seed. The fault rate
+    // is this sweep's axis, so the point's plan replaces the session's.
     sim::FaultPlan plan(fc);
-    harness::RunOptions ro;
     ro.faults = fc.rate > 0.0 ? &plan : nullptr;
     sched::StreamScheduler sched(wl, cfg, scfg, ro, cache, res);
     PointResult out;
@@ -104,6 +104,7 @@ run(harness::BenchContext &ctx)
     harness::Workload wl(opts.scaleConfig(), 4);
     const sim::MachineConfig cfg = ctx.config();
     session.wireMemprof(cfg, &wl.db().catalog());
+    session.setDatabase(wl.db().space());
 
     // Captures are pure, so the shared cache never influences simulated
     // results.
@@ -141,7 +142,8 @@ run(harness::BenchContext &ctx)
             fc.nodeMeanUpCycles = 6000000;
             fc.nodeDownCycles = 1500000;
 
-            PointResult pt = runPoint(wl, cfg, scfg, res, fc, cacheP);
+            PointResult pt = runPoint(wl, cfg, scfg, res, fc, cacheP,
+                                      session.runOptions());
             const std::string label = "gap" + std::to_string(gap) +
                                       " rate" + harness::fixed(rate, 2);
 
@@ -216,7 +218,8 @@ run(harness::BenchContext &ctx)
         fc.nodeMeanUpCycles = 2000000;
         fc.nodeDownCycles = 2000000;
 
-        PointResult pt = runPoint(wl, cfg, scfg, bres, fc, cacheP);
+        PointResult pt = runPoint(wl, cfg, scfg, bres, fc, cacheP,
+                                  session.runOptions());
         const sched::ResilienceReport &rep = pt.result.resilience;
         if (rep.breakerTrips == 0)
             violate("breaker scenario: breaker never tripped");
@@ -247,9 +250,8 @@ run(harness::BenchContext &ctx)
         solo.instances = 1;
         solo.mix = {{q, 1}};
         solo.paramVariants = 1;
-        harness::RunOptions ro;
-        ro.registrySnapshot = session.registrySlot();
-        sched::StreamScheduler s(wl, cfg, solo, ro, cacheP);
+        sched::StreamScheduler s(wl, cfg, solo, session.runOptions(),
+                                 cacheP);
         sched::StreamResult r = s.run();
         session.addRun("solo " + tpcd::queryName(q),
                        r.records.front().stats);

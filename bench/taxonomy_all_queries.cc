@@ -54,8 +54,7 @@ run(harness::BenchContext &ctx)
         scale = tpcd::ScaleConfig::tiny();
     harness::Workload wl(scale, 4);
     const sim::MachineConfig cfg = ctx.config();
-    session.usePlacement(
-        harness::makePlacement(opts, cfg, &wl.db().space()));
+    session.setDatabase(wl.db().space());
     session.wireMemprof(cfg, &wl.db().catalog());
 
     harness::TextTable tab({"query", "Data% of shared L2 misses",

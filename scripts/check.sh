@@ -19,7 +19,9 @@
 # checker.
 #
 # --placement runs the NUMA placement checks: the placement unit tests,
-# the 4-policy x Q3/Q6/Q12 sweep under the invariant checker, and
+# the 4-policy x Q3/Q6/Q12 sweep under the invariant checker, fig6's
+# first-touch cycles against that sweep's first-touch rows (each cold run
+# owns its policy, so no page claim leaks between runs), and
 # chaos_fault_sweep under interleave vs first-touch with the same fault
 # seed — the injected fault/retry schedule must be byte-identical
 # (FaultPlan keys on trace positions, never on page homes).
@@ -40,7 +42,8 @@
 #
 # --resilience runs the stream-resilience checks: the resilience unit,
 # breaker, outage-table, scheduler and golden tests, then the
-# resilience_sweep bench at tiny scale with JSON output, validating the
+# resilience_sweep bench at tiny scale with JSON output and the invariant
+# checker attached to every run (zero violations), validating the
 # SLO accounting schema, outcome conservation at every swept point,
 # breaker trip + recovery in the failure-window scenario, and
 # byte-identity of the JSON report across two identical runs. The chaos
@@ -51,8 +54,9 @@
 # against an explicit `--machine paper1997` (the spec layer must be
 # invisible to the goldens), the modern three-level preset over
 # Q3/Q6/Q12 under the invariant checker with per-level counter
-# reconciliation, and a machine-spec *file* (written on the spot) driving
-# a bench end to end. The chaos gauntlet also runs these under each
+# reconciliation, a machine-spec *file* (written on the spot) driving
+# a bench end to end, and Fig 12's cache-size point on the modern
+# three-level chain. The chaos gauntlet also runs these under each
 # sanitizer.
 #
 # --verify runs the explicit-state protocol model checker
@@ -215,9 +219,10 @@ PYSTREAM
 # Stream-resilience checks against an existing build dir: the resilience
 # unit/property/scheduler/golden tests, then the resilience_sweep bench
 # (whose own per-point invariants — bounded queues, conservation,
-# breaker recovery — make its exit code a verdict) run twice, validating
-# the JSON SLO schema, the failure-window scenario and byte-identity of
-# the two reports.
+# breaker recovery — make its exit code a verdict) run twice under
+# --check, validating the JSON SLO schema, the failure-window scenario,
+# the checker's presence in every run and byte-identity of the two
+# reports.
 resilience_checks() {
     local dir="$1"
     local filter='ShedPolicyModel.*:ResilienceConfigModel.*'
@@ -227,10 +232,10 @@ resilience_checks() {
 
     local out_json="$dir/resilience_check.json"
     local rerun_json="$dir/resilience_check_rerun.json"
-    "$dir/bench/resilience_sweep" --scale tiny --json "$out_json" \
-        > /dev/null
-    "$dir/bench/resilience_sweep" --scale tiny --json "$rerun_json" \
-        > /dev/null
+    "$dir/bench/resilience_sweep" --scale tiny --check \
+        --json "$out_json" > /dev/null
+    "$dir/bench/resilience_sweep" --scale tiny --check \
+        --json "$rerun_json" > /dev/null
     if ! cmp -s "$out_json" "$rerun_json"; then
         echo "check.sh: resilience: JSON report differs between two" \
              "identical runs" >&2
@@ -289,6 +294,14 @@ if br["trips"] == 0 or br["recoveries"] == 0:
          " not exercised" % (br["trips"], br["recoveries"]))
 if not bl["resilience"]["outages"]:
     fail("breaker scenario saw no outages")
+
+# --check must reach the runs: the checker's counters land in every
+# solo run's registry snapshot, and it finds nothing.
+if doc.get("check", {}).get("violations", {}).get("total") != 0:
+    fail("no clean invariant-checker report under --check")
+for run in doc["runs"]:
+    if run["counters"].get("check.violations.total") != 0:
+        fail("%s: the invariant checker was not attached" % run["label"])
 
 print("check.sh: resilience SLO schema, conservation, breaker life"
       " cycle and rerun byte-identity OK")
@@ -354,6 +367,11 @@ machine_checks() {
 SPEC
     "$dir/bench/fig6_time_breakdown" --scale tiny \
         --machine "$spec_json" --json "$file_json" > /dev/null
+
+    # Cache-size sweeps on a three-level chain: Fig 12 resizes L1 and the
+    # coherent level, and the L2 between them must still validate.
+    "$dir/bench/fig12_inter_query_reuse" --scale tiny --machine modern \
+        > /dev/null
 
     python3 - "$modern_json" "$file_json" <<'PYMACHINE'
 import json, sys
@@ -628,7 +646,7 @@ if [[ "$chaos" -eq 1 ]]; then
         cmake --build "$dir" -j"$(nproc)" \
             --target dss_tests chaos_fault_sweep ablation_placement \
             report_memprof throughput_stream resilience_sweep \
-            fig6_time_breakdown verify_protocol
+            fig6_time_breakdown fig12_inter_query_reuse verify_protocol
         "$dir/tests/dss_tests" --gtest_filter="$filter"
         "$dir/bench/chaos_fault_sweep" --scale tiny
         "$dir/bench/ablation_placement" --scale tiny --check
@@ -657,12 +675,30 @@ elif [[ "$placement" -eq 1 ]]; then
     build="${build:-$repo/build}"
     cmake -B "$build" -S "$repo"
     cmake --build "$build" -j"$(nproc)" \
-        --target dss_tests ablation_placement chaos_fault_sweep
+        --target dss_tests ablation_placement chaos_fault_sweep \
+        fig6_time_breakdown
     "$build/tests/dss_tests" --gtest_filter='Placement*.*'
 
     # The 4-policy x Q3/Q6/Q12 sweep under the coherence invariant
     # checker: every policy must finish with zero violations.
-    "$build/bench/ablation_placement" --scale tiny --check
+    sweep="$("$build/bench/ablation_placement" --scale tiny --check)"
+
+    # Every machine builds its own policy: fig6's cold runs under
+    # first-touch must read exactly the sweep's first-touch rows, which
+    # each run on a fresh machine. A policy shared across fig6's runs
+    # would carry Q3's page claims into Q6 and Q12.
+    fig6="$("$build/bench/fig6_time_breakdown" --scale tiny \
+        --placement first-touch |
+        awk '/^Figure 6\(a\)/ { a = 1 } /^Figure 6\(b\)/ { a = 0 }
+             a && $1 ~ /^Q[0-9]+$/ { print $1, $2 }')"
+    rows="$(awk '$1 ~ /^Q[0-9]+$/ && NF == 1 { q = $1 }
+                 $1 == "first-touch" { print q, $2 }' <<< "$sweep")"
+    if [[ "$(wc -l <<< "$fig6")" -ne 3 || "$fig6" != "$rows" ]]; then
+        echo "check.sh: fig6 first-touch cycles differ from" \
+             "ablation_placement's first-touch rows" >&2
+        diff <(echo "$fig6") <(echo "$rows") >&2 || true
+        exit 1
+    fi
 
     # Fault schedules must be placement-invariant: the FaultPlan keys on
     # per-processor trace positions, never on page homes, so moving every
@@ -712,7 +748,7 @@ elif [[ "$machine" -eq 1 ]]; then
     build="${build:-$repo/build}"
     cmake -B "$build" -S "$repo"
     cmake --build "$build" -j"$(nproc)" \
-        --target dss_tests fig6_time_breakdown
+        --target dss_tests fig6_time_breakdown fig12_inter_query_reuse
     machine_checks "$build"
     echo "check.sh: machine checks passed"
 elif [[ "$verify" -eq 1 ]]; then

@@ -16,8 +16,8 @@ benchMain(const std::string &bench_name, int argc, char **argv,
         // unreadable file or a failed validation exits 3 with the
         // structured error JSON, like every other simulated error.
         sim::MachineSpec spec = sim::loadSpec(opts.machine);
-        BenchContext ctx{opts, std::move(spec),
-                         ObsSession(bench_name, opts)};
+        BenchContext ctx{opts, spec, ObsSession(bench_name, opts,
+                                                spec.config)};
         return body(ctx);
     });
 }

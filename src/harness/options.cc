@@ -349,31 +349,21 @@ BenchOptions::faultConfig() const
     return fc;
 }
 
-std::unique_ptr<sim::PlacementPolicy>
-makePlacement(const BenchOptions &opts, const sim::MachineConfig &cfg,
-              const sim::AddressSpace *space)
-{
-    const sim::PlacementPolicy::Geometry g{
-        cfg.nprocs, cfg.pageBytes, sim::AddressSpace::kPrivateBase,
-        sim::AddressSpace::kPrivateStride};
-    std::vector<sim::PageAccessCounts> hist;
-    if (opts.placement.kind == sim::PlacementKind::Profile) {
-        std::ifstream is(opts.placement.arg);
-        if (!is)
-            throw std::runtime_error("--placement profile: cannot read " +
-                                     opts.placement.arg);
-        std::ostringstream text;
-        text << is.rdbuf();
-        hist = obs::PageProfile::parse(obs::Json::parse(text.str()),
-                                       cfg.pageBytes);
-    }
-    return sim::PlacementPolicy::make(opts.placement, g, space, &hist);
-}
-
-ObsSession::ObsSession(std::string bench_name, BenchOptions opts)
+ObsSession::ObsSession(std::string bench_name, BenchOptions opts,
+                       const sim::MachineConfig &cfg)
     : bench_(std::move(bench_name)), opts_(std::move(opts)),
       runs_(obs::Json::array()), extra_(obs::Json::object())
 {
+    if (opts_.placement.kind == sim::PlacementKind::Profile) {
+        std::ifstream is(opts_.placement.arg);
+        if (!is)
+            throw std::runtime_error("--placement profile: cannot read " +
+                                     opts_.placement.arg);
+        std::ostringstream text;
+        text << is.rdbuf();
+        placementHistogram_ = obs::PageProfile::parse(
+            obs::Json::parse(text.str()), cfg.pageBytes);
+    }
     if (opts_.epochCycles > 0)
         sampler_ = std::make_unique<obs::Sampler>(opts_.epochCycles);
     if (!opts_.tracePath.empty())
@@ -383,7 +373,7 @@ ObsSession::ObsSession(std::string bench_name, BenchOptions opts)
     if (opts_.faultRate > 0.0)
         faults_ = std::make_unique<sim::FaultPlan>(opts_.faultConfig());
     if (!opts_.pageProfilePath.empty())
-        pageProfile_ = std::make_unique<obs::PageProfile>();
+        pageProfile_ = std::make_unique<obs::PageProfile>(cfg.pageBytes);
 }
 
 void
@@ -407,7 +397,9 @@ ObsSession::runOptions()
     ro.registrySnapshot = registrySlot();
     ro.checker = checker_.get();
     ro.faults = faults_.get();
-    ro.placement = placement_.get();
+    ro.placementSpec = opts_.placement;
+    ro.placementSpace = space_;
+    ro.placementHistogram = &placementHistogram_;
     ro.pageProfile = pageProfile_.get();
     ro.memProfile = memProfile_.get();
     ro.log = &std::cerr;

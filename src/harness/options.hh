@@ -43,7 +43,11 @@
  *
  * ObsSession owns the wiring: it hands out the sampler/timeline pointers
  * to pass to the runner, collects per-run stats and registry snapshots,
- * and writes the output files on finish().
+ * and writes the output files on finish(). For --placement it hands out
+ * a recipe, not a policy: the spec, the traced database's address space
+ * (setDatabase) and the profile: histogram (parsed once), from which
+ * harness::wireMachine builds every machine its own policy at that
+ * machine's geometry.
  */
 
 #ifndef DSS_HARNESS_OPTIONS_HH
@@ -157,21 +161,19 @@ struct BenchOptions
     sim::FaultConfig faultConfig() const;
 };
 
-/**
- * Build the --placement policy for machine @p cfg. class-affinity needs
- * @p space (the workload's address space); profile loads its histogram
- * from the spec's path. Throws std::runtime_error on unreadable or
- * mismatched histograms — guardedMain turns that into a clean exit 3.
- */
-std::unique_ptr<sim::PlacementPolicy>
-makePlacement(const BenchOptions &opts, const sim::MachineConfig &cfg,
-              const sim::AddressSpace *space);
-
 /** Observability output for one bench invocation. */
 class ObsSession
 {
   public:
-    ObsSession(std::string bench_name, BenchOptions opts);
+    /**
+     * @p cfg is the selected machine: its page size sizes the
+     * --page-profile histogram and checks the --placement profile:
+     * input, which is read here once. Throws std::runtime_error on an
+     * unreadable or mismatched histogram — guardedMain turns that into
+     * a clean exit 3.
+     */
+    ObsSession(std::string bench_name, BenchOptions opts,
+               const sim::MachineConfig &cfg);
 
     /** Sampler to pass to the runner; null unless --epoch was given. */
     obs::Sampler *sampler() { return sampler_.get(); }
@@ -212,23 +214,17 @@ class ObsSession
     obs::RegionMap &symbols() { return symbols_; }
 
     /**
-     * Adopt the --placement policy (normally makePlacement()'s result)
-     * and wire it into every subsequent runOptions(). Benches whose
-     * machine geometry varies per sweep point instead build a policy per
-     * configuration and set RunOptions::placement themselves.
+     * Name the database the next runs trace: class-affinity placement
+     * classifies pages by its address space. Without it, a
+     * class-affinity run fails instead of falling back to interleave.
      */
-    void usePlacement(std::unique_ptr<sim::PlacementPolicy> p)
-    {
-        placement_ = std::move(p);
-    }
-
-    /** The adopted policy; null until usePlacement(). */
-    sim::PlacementPolicy *placement() { return placement_.get(); }
+    void setDatabase(const sim::AddressSpace &space) { space_ = &space; }
 
     /**
      * Everything wired up for one runCold/runSequence call: sampler,
      * timeline, a fresh registry slot (when --json), the checker and
-     * fault plan, and retry notes on stderr.
+     * fault plan, the --placement recipe each machine builds its own
+     * policy from, and retry notes on stderr.
      */
     RunOptions runOptions();
 
@@ -270,7 +266,9 @@ class ObsSession
     std::unique_ptr<obs::MemProfile> memProfile_;
     obs::RegionMap symbols_;
     RetryStats retryStats_;
-    std::unique_ptr<sim::PlacementPolicy> placement_;
+    const sim::AddressSpace *space_ = nullptr; ///< setDatabase()
+    /** The --placement profile: histogram, parsed once. */
+    std::vector<sim::PageAccessCounts> placementHistogram_;
     obs::Json pendingRegistry_;
     obs::Json runs_;
     obs::Json extra_;

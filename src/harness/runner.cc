@@ -7,7 +7,6 @@
 #include "obs/registry.hh"
 #include "sim/check.hh"
 #include "sim/fault.hh"
-#include "sim/placement.hh"
 
 namespace dss {
 namespace harness {
@@ -36,7 +35,9 @@ wireMachine(sim::Machine &machine, const RunOptions &opts)
 {
     machine.setChecker(opts.checker);
     machine.setFaultPlan(opts.faults);
-    machine.setPlacement(opts.placement);
+    machine.setPlacement(sim::PlacementPolicy::make(
+        opts.placementSpec, machine.placementGeometry(),
+        opts.placementSpace, opts.placementHistogram));
     // A profile records one machine geometry; sweep points at another
     // geometry run unprofiled.
     machine.setMemProfile(opts.memProfile &&

@@ -16,6 +16,7 @@
 #include "harness/guard.hh"
 #include "harness/workload.hh"
 #include "sim/machine.hh"
+#include "sim/placement.hh"
 
 namespace dss {
 namespace obs {
@@ -28,9 +29,9 @@ class Timeline;
 } // namespace obs
 
 namespace sim {
+class AddressSpace;
 class FaultPlan;
 class InvariantChecker;
-class PlacementPolicy;
 } // namespace sim
 
 namespace harness {
@@ -48,9 +49,18 @@ struct RunOptions
     obs::Json *registrySnapshot = nullptr;
     sim::InvariantChecker *checker = nullptr;
     sim::FaultPlan *faults = nullptr;
-    /** Page-placement policy (sim/placement.hh); null = the machine's
-     * default interleave. Mutable: first-touch resolves per run. */
-    sim::PlacementPolicy *placement = nullptr;
+    /**
+     * Page-placement recipe (sim/placement.hh): wireMachine builds each
+     * machine its own policy from this spec at the machine's geometry,
+     * so first-touch claims persist within one machine (a warm chain, a
+     * stream) and never between machines. class-affinity classifies
+     * pages by placementSpace (the traced database's address space) and
+     * profile homes them by placementHistogram; a missing input is an
+     * error, never a silent interleave.
+     */
+    sim::PlacementSpec placementSpec;
+    const sim::AddressSpace *placementSpace = nullptr;
+    const std::vector<sim::PageAccessCounts> *placementHistogram = nullptr;
     /** Per-page access histogram collector (--page-profile). */
     obs::PageProfile *pageProfile = nullptr;
     /** Line-level memory profiler (--memprof), attached to every machine
@@ -65,10 +75,13 @@ struct RunOptions
 };
 
 /**
- * Wire @p machine from @p opts: invariant checker, fault plan, placement
- * policy, and the memory profile when it fits the machine's geometry.
- * These are per-machine, not per-run; runSequence and the stream
- * scheduler (src/sched/) both wire their machine with this.
+ * Wire @p machine from @p opts: invariant checker, fault plan, its own
+ * placement policy built from opts.placementSpec, and the memory
+ * profile when it fits the machine's geometry. These are per-machine,
+ * not per-run; runSequence and the stream scheduler (src/sched/) both
+ * wire their machine with this. Throws std::runtime_error when the spec
+ * lacks its input (class-affinity without placementSpace, profile
+ * without placementHistogram).
  */
 void wireMachine(sim::Machine &machine, const RunOptions &opts);
 

@@ -105,9 +105,11 @@ obs::Json toJson(const StreamResult &r, bool include_run_stats = true);
 /**
  * Runs one stream on one warm machine. The scheduler owns the Machine
  * (built from @p machine_cfg) and wires it from @p base_opts with
- * harness::wireMachine (checker, fault plan, placement, sharing
- * tracker); the per-run pieces of @p base_opts (sampler, timeline,
- * profilers, retry policy) pass through to every instance run.
+ * harness::wireMachine (checker, fault plan, its own placement policy
+ * built from the recipe, memory profile), so first-touch claims persist
+ * across the stream's instances; the per-run pieces of @p base_opts
+ * (sampler, timeline, profilers, retry policy) pass through to every
+ * instance run.
  *
  * @p cache may be null (cache disabled: every instance re-captures) and
  * may be shared across schedulers — entries are keyed on capture

@@ -1,5 +1,6 @@
 #include "sim/machine.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <stdexcept>
@@ -67,6 +68,11 @@ MachineConfig::withCacheSizes(std::size_t l1_bytes,
     MachineConfig c = *this;
     c.l1().sizeBytes = l1_bytes;
     c.coherent().sizeBytes = l2_bytes;
+    // Intermediate levels keep their size where the new chain allows it,
+    // so each level still holds at least its upper neighbour.
+    for (std::size_t i = 1; i + 1 < c.levels.size(); ++i)
+        c.levels[i].sizeBytes =
+            std::max(l1_bytes, std::min(c.levels[i].sizeBytes, l2_bytes));
     c.validate();
     return c;
 }
@@ -94,18 +100,26 @@ Machine::Machine(const MachineConfig &cfg)
     nodes_.reserve(cfg_.nprocs);
     for (unsigned p = 0; p < cfg_.nprocs; ++p)
         nodes_.push_back(std::make_unique<Node>(cfg_));
-    defaultPlacement_ = PlacementPolicy::interleave(
-        {cfg_.nprocs, cfg_.pageBytes, AddressSpace::kPrivateBase,
-         AddressSpace::kPrivateStride});
-    placement_ = defaultPlacement_.get();
-    dir_.setPlacement(placement_);
+    setPlacement(PlacementPolicy::interleave(placementGeometry()));
+}
+
+PlacementPolicy::Geometry
+Machine::placementGeometry() const
+{
+    return {cfg_.nprocs, cfg_.pageBytes, AddressSpace::kPrivateBase,
+            AddressSpace::kPrivateStride};
 }
 
 void
-Machine::setPlacement(PlacementPolicy *placement)
+Machine::setPlacement(std::unique_ptr<PlacementPolicy> placement)
 {
-    placement_ = placement ? placement : defaultPlacement_.get();
-    dir_.setPlacement(placement_);
+    if (!placement)
+        throw std::invalid_argument("machine: null placement policy");
+    if (placement->geometry() != placementGeometry())
+        throw std::invalid_argument(
+            "machine: placement policy built for another geometry");
+    placement_ = std::move(placement);
+    dir_.setPlacement(placement_.get());
 }
 
 void

@@ -103,8 +103,9 @@ struct MachineConfig
      */
     MachineConfig withLineSize(std::size_t l2_line) const;
 
-    /** Same machine with different L1/last-level capacities. Throws
-     * SimError on invalid geometry. */
+    /** Same machine with different L1/last-level capacities; each
+     * intermediate level (if any) is clamped into [@p l1_bytes,
+     * @p l2_bytes]. Throws SimError on invalid geometry. */
     MachineConfig withCacheSizes(std::size_t l1_bytes,
                                  std::size_t l2_bytes) const;
 };
@@ -166,16 +167,23 @@ class Machine
     void setChecker(InvariantChecker *checker) { checker_ = checker; }
 
     /**
-     * Attach a page-placement policy (sim/placement.hh, the --placement
-     * flag). Borrowed and mutable: run() calls its beginRun() hook so
-     * first-touch claims resolve before replay starts. Pass
-     * nullptr to return to the machine's own default interleave policy
-     * (bit-identical to the historical hardwired rule).
+     * Replace the machine's page-placement policy (sim/placement.hh, the
+     * --placement flag). The machine owns exactly one policy: the
+     * constructor builds interleave (bit-identical to the historical
+     * hardwired rule), and this takes ownership of a replacement built
+     * at placementGeometry(). run() calls its beginRun() hook, so
+     * first-touch claims persist across this machine's runs and no
+     * other's. Throws std::invalid_argument for a null policy or one of
+     * another geometry.
      */
-    void setPlacement(PlacementPolicy *placement);
+    void setPlacement(std::unique_ptr<PlacementPolicy> placement);
 
-    /** The active placement policy (never null). */
+    /** The active placement policy. */
     const PlacementPolicy &placement() const { return *placement_; }
+
+    /** The geometry a policy for this machine maps over: its processor
+     * count, page size and the private-segment layout. */
+    PlacementPolicy::Geometry placementGeometry() const;
 
     /**
      * Attach a line-level memory profile (obs/memprof.hh, the --memprof
@@ -466,11 +474,8 @@ class Machine
     obs::MemProfile *memprof_ = nullptr;
     /** Word-granular sharing tracker; allocated iff memprof_ is set. */
     std::unique_ptr<SharingTracker> sharing_;
-    /** Fallback interleave policy owned by the machine, so homeOf always
-     * takes the precomputed-table fast path even with no external
-     * policy attached. */
-    std::unique_ptr<PlacementPolicy> defaultPlacement_;
-    PlacementPolicy *placement_ = nullptr; ///< active policy, never null
+    /** The page-placement policy; never null (interleave by default). */
+    std::unique_ptr<PlacementPolicy> placement_;
     /** Metalock word -> cycle its current hold began (timeline only). */
     std::unordered_map<Addr, Cycles> holdStart_;
 

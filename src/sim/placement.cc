@@ -180,7 +180,8 @@ PlacementPolicy::make(const PlacementSpec &spec, const Geometry &g,
       case PlacementKind::ClassAffinity: {
         if (!space)
             throw std::runtime_error(
-                "placement: class-affinity needs an AddressSpace");
+                "placement: class-affinity needs the traced database's "
+                "address space");
         ProcId node = 0;
         if (!spec.arg.empty())
             node = static_cast<ProcId>(

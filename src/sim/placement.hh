@@ -98,6 +98,8 @@ class PlacementPolicy
         std::size_t pageBytes = 8 * 1024;
         Addr privateBase = 0;
         Addr privateStride = 1;
+
+        bool operator==(const Geometry &) const = default;
     };
 
     /**
@@ -121,7 +123,8 @@ class PlacementPolicy
     static std::unique_ptr<PlacementPolicy>
     profile(const Geometry &g, const std::vector<PageAccessCounts> &hist);
 
-    /** Build any spec; class-affinity requires @p space (else throws). */
+    /** Build any spec; class-affinity requires @p space and profile
+     * @p hist (else throws std::runtime_error). */
     static std::unique_ptr<PlacementPolicy>
     make(const PlacementSpec &spec, const Geometry &g,
          const AddressSpace *space,
@@ -161,8 +164,11 @@ class PlacementPolicy
      * The claim scan iterates trace positions in the outer loop and
      * processors in the inner loop, so "first" is defined purely by the
      * traces, never by simulated time: the same trace set yields the
-     * same homes on every rerun. Claims persist across runs (a page's first touch ever wins),
-     * which is what the warm-start sequences expect of a real OS.
+     * same homes on every rerun. Claims persist across the runs of the
+     * one Machine that owns the policy (a page's first touch ever wins),
+     * which is what a warm-start sequence or a query stream expects of a
+     * real OS; every other machine builds its own policy, so cold runs
+     * never inherit each other's claims.
      */
     void beginRun(const std::vector<const TraceStream *> &traces);
 

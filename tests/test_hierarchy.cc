@@ -170,6 +170,26 @@ TEST(MachineSpec, ModernPresetIsValidThreeLevel)
     EXPECT_NO_THROW(Machine m(spec.config));
 }
 
+TEST(MachineSpec, CacheSizeSweepPointsValidateOnModern)
+{
+    // Every Fig 10/11 point (L1 4K..256K, coherent level 32x that) and
+    // the Fig 12 machine (1M / 32M) on a three-level chain: the L2 in
+    // between is clamped into the new [L1, L3] range.
+    const MachineConfig modern = machinePreset("modern").config;
+    for (std::size_t l1 : {4 << 10, 16 << 10, 64 << 10, 256 << 10}) {
+        const MachineConfig c = modern.withCacheSizes(l1, 32 * l1);
+        EXPECT_NO_THROW(Machine m(c)) << l1;
+        EXPECT_GE(c.levels[1].sizeBytes, l1);
+        EXPECT_LE(c.levels[1].sizeBytes, 32 * l1);
+    }
+    const MachineConfig fig12 = modern.withCacheSizes(1 << 20, 32 << 20);
+    EXPECT_NO_THROW(Machine m(fig12));
+    EXPECT_EQ(fig12.levels[1].sizeBytes, std::size_t{1} << 20);
+    // Where the intermediate level already fits, it keeps its size.
+    EXPECT_EQ(modern.withCacheSizes(64 << 10, 2 << 20).levels[1].sizeBytes,
+              modern.levels[1].sizeBytes);
+}
+
 TEST(MachineSpec, Scaled64PresetRuns)
 {
     const MachineSpec spec = machinePreset("scaled64");

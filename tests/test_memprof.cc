@@ -361,22 +361,18 @@ TEST(MemProfile, TotalsReconcileWithMachineCounters)
 {
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4, 42);
     const sim::MachineConfig cfg = sim::MachineConfig::baseline();
-    const sim::PlacementPolicy::Geometry g{
-        cfg.nprocs, cfg.pageBytes, sim::AddressSpace::kPrivateBase,
-        sim::AddressSpace::kPrivateStride};
     for (tpcd::QueryId q : {tpcd::QueryId::Q3, tpcd::QueryId::Q6,
                             tpcd::QueryId::Q12}) {
         const harness::TraceSet traces = wl.trace(q);
         for (bool first_touch : {false, true}) {
             SCOPED_TRACE(std::string(tpcd::queryName(q)) +
                          (first_touch ? " first-touch" : " interleave"));
-            auto placement = first_touch
-                                 ? sim::PlacementPolicy::firstTouch(g)
-                                 : sim::PlacementPolicy::interleave(g);
             obs::MemProfile prof(cfg);
             harness::RunOptions ro;
             ro.memProfile = &prof;
-            ro.placement = placement.get();
+            ro.placementSpec.kind = first_touch
+                                        ? sim::PlacementKind::FirstTouch
+                                        : sim::PlacementKind::Interleave;
             const sim::ProcStats agg =
                 harness::runCold(cfg, traces, ro).aggregate();
 

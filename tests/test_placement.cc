@@ -222,17 +222,15 @@ TEST(Placement, FirstTouchIdenticalAcrossEnginesAndThreads)
         std::size_t claimed;
     };
     auto runOnce = [&] {
-        auto policy = PlacementPolicy::firstTouch(
-            {cfg.nprocs, cfg.pageBytes, AddressSpace::kPrivateBase,
-             AddressSpace::kPrivateStride});
         sim::Machine m(cfg);
-        m.setPlacement(policy.get());
+        m.setPlacement(PlacementPolicy::firstTouch(m.placementGeometry()));
         sim::SimStats stats = m.run(ptrs);
+        const PlacementPolicy &policy = m.placement();
         Outcome o;
         o.statsJson = obs::toJson(stats).dump();
-        for (std::size_t i = 0; i < policy->coveredPages(); ++i)
-            o.homes.push_back(policy->homeOf(static_cast<Addr>(i) * 8192));
-        o.claimed = policy->claimedPages();
+        for (std::size_t i = 0; i < policy.coveredPages(); ++i)
+            o.homes.push_back(policy.homeOf(static_cast<Addr>(i) * 8192));
+        o.claimed = policy.claimedPages();
         return o;
     };
 
@@ -253,7 +251,6 @@ TEST(Placement, FirstTouchIdenticalAcrossEnginesOnRealQuery)
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
     harness::TraceSet traces = wl.trace(tpcd::QueryId::Q3);
     const sim::MachineConfig cfg = sim::MachineConfig::baseline();
-    const PlacementPolicy::Geometry g = baselineGeometry(cfg.nprocs);
 
     struct Outcome
     {
@@ -261,15 +258,18 @@ TEST(Placement, FirstTouchIdenticalAcrossEnginesOnRealQuery)
         std::vector<ProcId> homes;
     };
     auto runOnce = [&] {
-        auto policy = PlacementPolicy::firstTouch(g);
         harness::RunOptions ro;
-        ro.placement = policy.get();
-        sim::SimStats stats = harness::runCold(cfg, traces, ro);
+        ro.placementSpec = *PlacementSpec::parse("first-touch");
+        sim::Machine m(cfg);
+        harness::wireMachine(m, ro);
+        sim::SimStats stats =
+            harness::runOnMachine(m, harness::tracePtrs(traces), ro);
+        const PlacementPolicy &policy = m.placement();
         Outcome o;
         o.statsJson = obs::toJson(stats).dump();
-        for (std::size_t i = 0; i < policy->coveredPages(); ++i)
+        for (std::size_t i = 0; i < policy.coveredPages(); ++i)
             o.homes.push_back(
-                policy->homeOf(static_cast<Addr>(i) * cfg.pageBytes));
+                policy.homeOf(static_cast<Addr>(i) * cfg.pageBytes));
         return o;
     };
 
@@ -407,10 +407,10 @@ TEST(Placement, ExplicitInterleaveReproducesTheGoldenFixtureByteForByte)
     harness::TraceSet traces = wl.trace(tpcd::QueryId::Q3);
     const sim::MachineConfig cfg = sim::MachineConfig::baseline();
 
-    auto policy = PlacementPolicy::interleave(baselineGeometry(cfg.nprocs));
-    harness::RunOptions ro;
-    ro.placement = policy.get();
-    sim::SimStats stats = harness::runCold(cfg, traces, ro);
+    sim::Machine m(cfg);
+    m.setPlacement(PlacementPolicy::interleave(baselineGeometry(cfg.nprocs)));
+    sim::SimStats stats =
+        harness::runOnMachine(m, harness::tracePtrs(traces), {});
     const std::string actual = obs::toJson(stats).dump(2) + "\n";
 
     std::ifstream is(std::string(DSS_GOLDEN_DIR) + "/q3_seq.json");
@@ -512,25 +512,117 @@ TEST(Placement, RunSequenceSnapshotsCountOnlyTheLastRepetition)
     EXPECT_LE(dirRequests(two), cold);
 }
 
-// --- makePlacement (the harness glue) ------------------------------------
+// --- the placement recipe (the harness glue) ----------------------------
 
 TEST(Placement, MakePlacementBuildsEachPolicyAndValidatesInputs)
 {
     harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
     const sim::MachineConfig cfg = sim::MachineConfig::baseline();
 
+    harness::RunOptions ro;
+    sim::Machine def(cfg);
+    harness::wireMachine(def, ro);
+    EXPECT_EQ(def.placement().kind(), PlacementKind::Interleave);
+
+    ro.placementSpec = *PlacementSpec::parse("class-affinity:1");
+    ro.placementSpace = &wl.db().space();
+    sim::Machine ca(cfg);
+    harness::wireMachine(ca, ro);
+    EXPECT_EQ(ca.placement().kind(), PlacementKind::ClassAffinity);
+    EXPECT_GT(ca.placement().coveredPages(), 0u);
+
+    // No silent fallback: class-affinity without a database is an error.
+    ro.placementSpace = nullptr;
+    sim::Machine orphan(cfg);
+    EXPECT_THROW(harness::wireMachine(orphan, ro), std::runtime_error);
+
+    // The session reads the profile: histogram once, up front.
     harness::BenchOptions opts;
-    auto def = harness::makePlacement(opts, cfg, &wl.db().space());
-    EXPECT_EQ(def->kind(), PlacementKind::Interleave);
-
-    opts.placement = *PlacementSpec::parse("class-affinity:1");
-    auto ca = harness::makePlacement(opts, cfg, &wl.db().space());
-    EXPECT_EQ(ca->kind(), PlacementKind::ClassAffinity);
-    EXPECT_GT(ca->coveredPages(), 0u);
-
     opts.placement = *PlacementSpec::parse("profile:/nonexistent.json");
-    EXPECT_THROW(harness::makePlacement(opts, cfg, &wl.db().space()),
-                 std::runtime_error);
+    EXPECT_THROW(harness::ObsSession("test", opts, cfg), std::runtime_error);
+}
+
+TEST(Placement, WiredPolicyMatchesEachMachineGeometry)
+{
+    AddressSpace space(8, 64 * 1024, 4 * 1024);
+    space.shared().alloc(8192, DataClass::BufDesc);
+    const std::vector<sim::PageAccessCounts> hist{{0, {0, 3}}};
+    for (const char *text : {"interleave", "first-touch", "class-affinity",
+                             "profile:unused.json"}) {
+        harness::RunOptions ro;
+        ro.placementSpec = *PlacementSpec::parse(text);
+        ro.placementSpace = &space;
+        ro.placementHistogram = &hist;
+        for (unsigned nprocs : {1u, 2u, 8u}) {
+            SCOPED_TRACE(std::string(text) + " nprocs " +
+                         std::to_string(nprocs));
+            sim::MachineConfig cfg = sim::MachineConfig::baseline();
+            cfg.nprocs = nprocs;
+            sim::Machine m(cfg);
+            harness::wireMachine(m, ro);
+            EXPECT_EQ(m.placement().kind(), ro.placementSpec.kind);
+            EXPECT_EQ(m.placement().geometry(), m.placementGeometry());
+            EXPECT_EQ(m.placement().geometry().nnodes, nprocs);
+            EXPECT_EQ(m.placement().geometry().pageBytes, cfg.pageBytes);
+        }
+    }
+
+    // A policy of another geometry is refused, not silently adopted.
+    sim::Machine m(sim::MachineConfig::baseline());
+    EXPECT_THROW(m.setPlacement(PlacementPolicy::interleave(
+                     baselineGeometry(2))),
+                 std::invalid_argument);
+    EXPECT_THROW(m.setPlacement(nullptr), std::invalid_argument);
+}
+
+TEST(Placement, FirstTouchColdRunsShareNoClaims)
+{
+    // Two cold runs from one session's runOptions() run on two machines,
+    // each with its own first-touch policy: Q3's claims must not leak
+    // into the Q6 run that follows it.
+    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
+    const harness::TraceSet q3 = wl.trace(tpcd::QueryId::Q3);
+    const harness::TraceSet q6 = wl.trace(tpcd::QueryId::Q6);
+    const sim::MachineConfig cfg = sim::MachineConfig::baseline();
+    harness::BenchOptions opts;
+    opts.placement = *PlacementSpec::parse("first-touch");
+
+    harness::ObsSession session("test", opts, cfg);
+    session.setDatabase(wl.db().space());
+    harness::runCold(cfg, q3, session.runOptions());
+    const sim::SimStats after_q3 =
+        harness::runCold(cfg, q6, session.runOptions());
+
+    harness::ObsSession lone_session("test", opts, cfg);
+    const sim::SimStats lone =
+        harness::runCold(cfg, q6, lone_session.runOptions());
+    EXPECT_EQ(obs::toJson(after_q3).dump(), obs::toJson(lone).dump());
+}
+
+TEST(Placement, FirstTouchClaimsPersistAcrossARunSequence)
+{
+    // Run 1: processor 1 alone touches page 4 (interleave home: node 0)
+    // and claims it. Run 2: processor 0 reads that page. On the chain's
+    // one machine the claim holds, so the read is remote; a cold run of
+    // run 2 alone claims the page for processor 0, so its read is local.
+    const Addr page = 4 * 8192;
+    harness::TraceSet claim(2), read(1);
+    claim[0].record(sim::TraceEntry::busy(1));
+    claim[1].record(sim::TraceEntry::read(page, DataClass::Data, 8));
+    read[0].record(sim::TraceEntry::read(page + 64, DataClass::Data, 8));
+
+    const sim::MachineConfig cfg = sim::MachineConfig::baseline();
+    harness::RunOptions ro;
+    ro.placementSpec = *PlacementSpec::parse("first-touch");
+    const std::vector<sim::SimStats> chain =
+        harness::runSequence(cfg, {&claim, &read}, ro);
+    ASSERT_EQ(chain.size(), 2u);
+    EXPECT_EQ(chain[1].procs[0].hopsOfClass(0), 0u);
+    EXPECT_EQ(chain[1].procs[0].hopsOfClass(1), 1u);
+
+    const sim::SimStats cold = harness::runCold(cfg, read, ro);
+    EXPECT_EQ(cold.procs[0].hopsOfClass(0), 1u);
+    EXPECT_EQ(cold.procs[0].hopsOfClass(1), 0u);
 }
 
 } // namespace
