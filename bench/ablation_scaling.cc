@@ -23,6 +23,7 @@ int
 run(harness::BenchContext &ctx)
 {
     harness::ObsSession &session = ctx.session;
+    session.checkPlacementFits(1); // the 1-processor sweep point
     std::cout << "=== Ablation: inter-query workload vs. processor count "
                  "===\n\n";
 

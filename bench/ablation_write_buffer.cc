@@ -37,6 +37,7 @@ int
 run(harness::BenchContext &ctx)
 {
     harness::ObsSession &session = ctx.session;
+    session.checkPlacementFits(1); // the UF1 rows run on 1 processor
     std::cout << "=== Ablation: write-buffer depth ===\n\n";
 
     harness::Workload wl(tpcd::ScaleConfig::paperScale(), 4);

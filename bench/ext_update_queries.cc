@@ -55,6 +55,7 @@ int
 run(harness::BenchContext &ctx)
 {
     harness::ObsSession &session = ctx.session;
+    session.checkPlacementFits(1); // every run is single-processor
     std::cout << "=== Extension: TPC-D update functions UF1 / UF2 "
                  "(single processor) ===\n\n";
 

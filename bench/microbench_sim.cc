@@ -27,6 +27,10 @@ using namespace dss::sim;
 
 namespace {
 
+/** 4 nodes, 8 KB pages: the paper's baseline home-rule geometry. */
+const PlacementPolicy::Geometry kBaselineGeometry{
+    4, 8192, AddressSpace::kPrivateBase, AddressSpace::kPrivateStride};
+
 void
 BM_CacheHit(benchmark::State &state)
 {
@@ -59,9 +63,8 @@ BENCHMARK(BM_CacheMissFill)->UseRealTime();
 void
 BM_DirectoryTransaction(benchmark::State &state)
 {
-    LatencyConfig lat;
-    Directory dir(4, 64, 8192, AddressSpace::kPrivateBase,
-                  AddressSpace::kPrivateStride, lat);
+    const auto policy = PlacementPolicy::interleave(kBaselineGeometry);
+    Directory dir(4, 64, *policy, LatencyConfig{});
     Addr a = 0x1000'0000;
     for (auto _ : state) {
         Directory::Entry &e = dir.entry(a);
@@ -74,42 +77,20 @@ BM_DirectoryTransaction(benchmark::State &state)
 }
 BENCHMARK(BM_DirectoryTransaction)->UseRealTime();
 
-/** The historical hardwired home rule: per-access div/mod chain. */
+/** Directory::homeOf on the default interleave policy (the replay hot
+ * path's home lookup). */
 void
-BM_HomeOfLegacy(benchmark::State &state)
+BM_HomeOf(benchmark::State &state)
 {
-    LatencyConfig lat;
-    Directory dir(4, 64, 8192, AddressSpace::kPrivateBase,
-                  AddressSpace::kPrivateStride, lat);
-    // No policy attached: Directory::homeOf falls back to the legacy
-    // formula, exactly what every access paid before the placement layer.
+    const auto policy = PlacementPolicy::interleave(kBaselineGeometry);
+    Directory dir(4, 64, *policy, LatencyConfig{});
     Addr a = 0x1000'0000;
     for (auto _ : state) {
         benchmark::DoNotOptimize(dir.homeOf(a));
         a = 0x1000'0000 + ((a + 64) & (64 * 1024 * 1024 - 1));
     }
 }
-BENCHMARK(BM_HomeOfLegacy)->UseRealTime();
-
-/** The placement layer's flat page->home table (the new hot path). */
-void
-BM_HomeOfTable(benchmark::State &state)
-{
-    LatencyConfig lat;
-    Directory dir(4, 64, 8192, AddressSpace::kPrivateBase,
-                  AddressSpace::kPrivateStride, lat);
-    auto policy = PlacementPolicy::interleave(
-        {4, 8192, AddressSpace::kPrivateBase, AddressSpace::kPrivateStride});
-    // Cover the whole touched range so every lookup hits the table.
-    policy->pinPage(0x1000'0000 + (64 * 1024 * 1024 - 1), 0);
-    dir.setPlacement(policy.get());
-    Addr a = 0x1000'0000;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(dir.homeOf(a));
-        a = 0x1000'0000 + ((a + 64) & (64 * 1024 * 1024 - 1));
-    }
-}
-BENCHMARK(BM_HomeOfTable)->UseRealTime();
+BENCHMARK(BM_HomeOf)->UseRealTime();
 
 void
 BM_WriteBufferPush(benchmark::State &state)

@@ -84,6 +84,7 @@ run(harness::BenchContext &ctx)
         std::cerr << "throughput_stream: bad --stream-policy\n";
         return 2;
     }
+    session.checkPlacementFits(2); // the closed-loop sweep's p2 points
 
     std::cout << "=== Query-stream throughput (" << instances
               << " instances, seed " << opts.streamSeed << ", "

@@ -11,13 +11,10 @@
  *     --prefetch N     sequential data prefetch degree (default off)
  *     --customers N    population scale (default 600)
  *     --seed N         parameter seed (default 1)
- *     --save PATH      write the captured traces to PATH
- *     --load PATH      simulate traces from PATH instead of tracing
  *
  * Examples:
  *   explore --query 3 --line 128
  *   explore --query 12 --prefetch 4
- *   explore --query 6 --save q6.trc && explore --load q6.trc --l2 1048576
  */
 
 #include <cstring>
@@ -25,7 +22,6 @@
 
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "sim/trace_io.hh"
 
 using namespace dss;
 
@@ -41,8 +37,6 @@ struct Options
     unsigned prefetch = 0;
     unsigned customers = 600;
     std::uint64_t seed = 1;
-    std::string save;
-    std::string load;
 };
 
 bool
@@ -74,10 +68,6 @@ parse(int argc, char **argv, Options &o)
             o.customers = static_cast<unsigned>(std::atoi(argv[++i]));
         else if (want_value("--seed"))
             o.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-        else if (want_value("--save"))
-            o.save = argv[++i];
-        else if (want_value("--load"))
-            o.load = argv[++i];
         else {
             std::cerr << "unknown option: " << a << '\n';
             return false;
@@ -100,29 +90,16 @@ main(int argc, char **argv)
         if (!parse(argc, argv, o))
             return 1;
 
-        std::vector<sim::TraceStream> traces;
-        if (!o.load.empty()) {
-            traces = sim::loadTracesFile(o.load);
-            std::cout << "loaded " << traces.size() << " streams from "
-                      << o.load << '\n';
-            o.procs = static_cast<unsigned>(traces.size());
-        } else {
-            tpcd::ScaleConfig scale;
-            scale.customers = o.customers;
-            scale.parts = o.customers * 4 / 3;
-            scale.suppliers = std::max(10u, o.customers / 15);
-            harness::Workload wl(scale, o.procs, 42);
-            auto q = static_cast<tpcd::QueryId>(o.query);
-            std::cout << "tracing " << tpcd::queryName(q) << " ("
-                      << tpcd::kNumQueries << " available) on " << o.procs
-                      << " processors...\n";
-            traces = wl.trace(q, o.seed);
-        }
-
-        if (!o.save.empty()) {
-            sim::saveTracesFile(o.save, traces);
-            std::cout << "saved traces to " << o.save << '\n';
-        }
+        tpcd::ScaleConfig scale;
+        scale.customers = o.customers;
+        scale.parts = o.customers * 4 / 3;
+        scale.suppliers = std::max(10u, o.customers / 15);
+        harness::Workload wl(scale, o.procs, 42);
+        auto q = static_cast<tpcd::QueryId>(o.query);
+        std::cout << "tracing " << tpcd::queryName(q) << " ("
+                  << tpcd::kNumQueries << " available) on " << o.procs
+                  << " processors...\n";
+        std::vector<sim::TraceStream> traces = wl.trace(q, o.seed);
 
         sim::MachineConfig cfg = sim::MachineConfig::baseline()
                                      .withLineSize(o.line)

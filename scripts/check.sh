@@ -68,8 +68,11 @@
 # JSON report across repeated runs. The chaos gauntlet runs these too.
 #
 # --lint runs the static gates: scripts/determinism_lint.py over the
-# deterministic core (src/sim/, src/sched/) and, when clang-tidy is
-# installed, clang-tidy with the repo .clang-tidy config (warnings are
+# deterministic core (src/sim/, src/sched/), the dead-symbol gate
+# (scripts/dead_symbols.py over a --gc-sections build of every bench,
+# example and the hostbench driver in build-gc/: no src/ function may
+# lack a caller, bar a short allowlist of test-only accessors) and, when
+# clang-tidy is installed, clang-tidy with the repo .clang-tidy config (warnings are
 # errors) over src/ using the build tree's compile_commands.json. A
 # missing clang-tidy binary skips that half with a notice — the
 # determinism lint always runs. The chaos gauntlet runs these too.
@@ -609,13 +612,38 @@ print("check.sh: verify clean searches exhausted (%d states), mutants"
 PYVERIFY
 }
 
-# Static gates: the determinism lint over the deterministic core always;
-# clang-tidy over src/ with the repo .clang-tidy (warnings are errors)
-# when the binary is installed, driven by the build tree's
-# compile_commands.json.
+# Dead-symbol gate: build every bench/ and examples/ binary and the
+# hostbench driver into build-gc/ with per-function sections and
+# --gc-sections (at -O0, so nothing is inlined away), then fail on any
+# src/ library function that no binary retains and whose name appears
+# nowhere else in the program sources (scripts/dead_symbols.py).
+dead_symbol_checks() {
+    local gc="$repo/build-gc"
+    local -a cfg=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG=-O0
+                  "-DCMAKE_CXX_FLAGS=-ffunction-sections -fdata-sections"
+                  -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
+    local -a targets=()
+    local f
+    for f in "$repo"/bench/*.cc "$repo"/examples/*.cpp; do
+        f="${f##*/}"
+        targets+=("${f%.*}")
+    done
+    cmake -B "$gc" -S "$repo" "${cfg[@]}" > /dev/null
+    cmake --build "$gc" -j"$(nproc)" --target "${targets[@]}" > /dev/null
+    cmake -B "$gc/hostbench" -S "$repo/hostbench" "${cfg[@]}" > /dev/null
+    cmake --build "$gc/hostbench" -j"$(nproc)" --target hostbench \
+        > /dev/null
+    python3 "$repo/scripts/dead_symbols.py" "$repo" "$gc"
+}
+
+# Static gates: the determinism lint over the deterministic core and the
+# dead-symbol gate always; clang-tidy over src/ with the repo .clang-tidy
+# (warnings are errors) when the binary is installed, driven by the
+# build tree's compile_commands.json.
 lint_checks() {
     local dir="$1"
     python3 "$repo/scripts/determinism_lint.py" "$repo"
+    dead_symbol_checks
 
     if ! command -v clang-tidy > /dev/null 2>&1; then
         echo "check.sh: lint: clang-tidy not installed — skipping the" \

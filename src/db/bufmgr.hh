@@ -60,33 +60,6 @@ class BufferManager
     /** The BufMgrLock word (a metalock; LockSLock class). */
     sim::Addr lockAddr() const { return lock_; }
 
-    /**
-     * One NUMA placement hint per allocated buffer block. Blocks are 8 KB
-     * and 8 KB-aligned, so each hint covers exactly one simulated page;
-     * home == nnodes (kNoHomeHint) means "no preference, let the policy
-     * decide". The harness feeds explicit hints into
-     * sim::PlacementPolicy::pinPage; the arena class map already carries
-     * the DataClass for class-affinity.
-     */
-    struct PlacementHint
-    {
-        sim::Addr page = 0;     ///< block (= page) base address
-        sim::DataClass cls = sim::DataClass::Data;
-        sim::ProcId home = kNoHomeHint; ///< preferred node, or no hint
-    };
-
-    static constexpr sim::ProcId kNoHomeHint =
-        static_cast<sim::ProcId>(~0u);
-
-    /** Hints recorded at allocBlock time, in allocation order. */
-    const std::vector<PlacementHint> &placementHints() const
-    {
-        return hints_;
-    }
-
-    /** Attach/replace the home hint of an already-allocated block. */
-    void hintHome(sim::Addr page, sim::ProcId home);
-
     unsigned numBlocks() const { return numBlocks_; }
     unsigned maxBlocks() const { return maxBlocks_; }
 
@@ -139,7 +112,6 @@ class BufferManager
 
     unsigned maxBlocks_;
     unsigned numBlocks_ = 0;
-    std::vector<PlacementHint> hints_;
     std::vector<BlockInfo> blocks_; ///< in allocation order
     std::uint32_t hashSize_; ///< power of two
     sim::Addr lock_ = 0;     ///< BufMgrLock

@@ -87,7 +87,6 @@ Catalog::createIndex(TracedMemory &setup, std::string name, RelId table,
     auto tree = std::make_unique<BTree>(id, bufmgr_);
     tree->build(setup, entries);
     indices_.emplace(id, std::move(tree));
-    indexByAttr_[{table, attr_idx}] = id;
     indicesByTable_[table].emplace_back(attr_idx, id);
     byName_[name] = id;
     return id;
@@ -108,15 +107,6 @@ Catalog::relation(RelId id) const
     auto it = tables_.find(id);
     if (it == tables_.end())
         throw std::out_of_range("Catalog: unknown relation");
-    return it->second;
-}
-
-RelId
-Catalog::relIdOf(const std::string &name) const
-{
-    auto it = byName_.find(name);
-    if (it == byName_.end())
-        throw std::out_of_range("Catalog: unknown name " + name);
     return it->second;
 }
 
@@ -153,15 +143,6 @@ Catalog::describeRegions(obs::RegionMap &map) const
     lockmgr_.describeRegions(map);
     for (const auto &[rel, tree] : indices_)
         tree->describeRegions(map, nameOf(rel));
-}
-
-const BTree *
-Catalog::findIndex(RelId table, std::size_t attr_idx) const
-{
-    auto it = indexByAttr_.find({table, attr_idx});
-    if (it == indexByAttr_.end())
-        return nullptr;
-    return &index(it->second);
 }
 
 const BTree &

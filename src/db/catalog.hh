@@ -63,7 +63,6 @@ class Catalog
 
     Relation &relation(RelId id);
     const Relation &relation(RelId id) const;
-    RelId relIdOf(const std::string &name) const;
 
     /** Name of table or index @p id; "rel<id>" if unregistered. */
     std::string nameOf(RelId id) const;
@@ -82,9 +81,6 @@ class Catalog
      * the lock tables, and every B-tree page with its level.
      */
     void describeRegions(obs::RegionMap &map) const;
-
-    /** Index on (@p table, @p attr_idx), or nullptr. */
-    const BTree *findIndex(RelId table, std::size_t attr_idx) const;
 
     const BTree &index(RelId index_rel) const;
 
@@ -107,7 +103,6 @@ class Catalog
     RelId nextRel_ = 1;
     std::map<RelId, Relation> tables_;
     std::map<RelId, std::unique_ptr<BTree>> indices_;
-    std::map<std::pair<RelId, std::size_t>, RelId> indexByAttr_;
     std::map<RelId, std::vector<std::pair<std::size_t, RelId>>>
         indicesByTable_; ///< table -> [(attr, index rel)]
     std::map<std::string, RelId> byName_;

@@ -175,12 +175,5 @@ andAll(std::vector<ExprPtr> terms)
     return acc;
 }
 
-ExprPtr
-rangeHalfOpen(ExprPtr e, Datum lo, Datum hi)
-{
-    return logic(LogicOp::And, cmp(CmpOp::Ge, e, lit(std::move(lo))),
-                 cmp(CmpOp::Lt, e, lit(std::move(hi))));
-}
-
 } // namespace db
 } // namespace dss

@@ -93,9 +93,6 @@ ExprPtr arith(ArithOp op, ExprPtr l, ExprPtr r);
 /** a && b (convenience). */
 ExprPtr andAll(std::vector<ExprPtr> terms);
 
-/** lo <= e && e < hi (half-open range, the common date filter). */
-ExprPtr rangeHalfOpen(ExprPtr e, Datum lo, Datum hi);
-
 } // namespace db
 } // namespace dss
 

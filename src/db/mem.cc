@@ -51,17 +51,6 @@ TracedMemory::copy(Addr dst, Addr src, std::size_t n)
     }
 }
 
-int
-TracedMemory::compareBytes(Addr addr, const void *s, std::size_t n)
-{
-    for (std::size_t off = 0; off < n; off += 8) {
-        auto sz = static_cast<std::uint8_t>(std::min<std::size_t>(8, n - off));
-        sink_->record(
-            sim::TraceEntry::read(addr + off, classOf(addr + off), sz));
-    }
-    return std::memcmp(hostOf(addr), s, n);
-}
-
 void
 PrivateHeap::rewind(std::size_t mark)
 {

@@ -75,9 +75,6 @@ class TracedMemory
     /** Traced memory-to-memory copy (shared tuple -> private slot). */
     void copy(Addr dst, Addr src, std::size_t n);
 
-    /** Compare @p n traced bytes at @p addr against host memory @p s. */
-    int compareBytes(Addr addr, const void *s, std::size_t n);
-
     /** Account @p cycles of pure compute. */
     void
     busy(std::uint32_t cycles)

@@ -60,15 +60,5 @@ PageRef::slotLive(std::uint16_t slot)
     return off != kDeadSlot;
 }
 
-std::size_t
-PageRef::freeSpace()
-{
-    auto nslots = mem_.load<std::uint16_t>(base_ + kNumSlotsOff);
-    auto cursor = mem_.load<std::uint16_t>(base_ + kDataCursorOff);
-    if (nslots >= kMaxSlots)
-        return 0;
-    return kPageBytes - cursor;
-}
-
 } // namespace db
 } // namespace dss

@@ -53,9 +53,6 @@ class PageRef
     /** True if @p slot still holds a live tuple (traced slot read). */
     bool slotLive(std::uint16_t slot);
 
-    /** Bytes still free between slot array and tuple space. */
-    std::size_t freeSpace();
-
     sim::Addr base() const { return base_; }
 
     /** Maximum slots per page (bounded by the reserved slot area). */

@@ -73,30 +73,6 @@ Schema::indexOf(const std::string &name) const
     throw std::out_of_range("Schema: no attribute named " + name);
 }
 
-Schema
-Schema::concat(const Schema &left, const Schema &right)
-{
-    Schema out;
-    for (std::size_t i = 0; i < left.numAttrs(); ++i) {
-        const Attribute &a = left.attr(i);
-        out.add(a.name, a.type, a.len);
-    }
-    for (std::size_t i = 0; i < right.numAttrs(); ++i) {
-        const Attribute &a = right.attr(i);
-        std::string name = a.name;
-        // Disambiguate duplicated column names from self-joins.
-        bool dup = false;
-        for (std::size_t j = 0; j < left.numAttrs(); ++j) {
-            if (left.attr(j).name == name) {
-                dup = true;
-                break;
-            }
-        }
-        out.add(dup ? name + "_r" : name, a.type, a.len);
-    }
-    return out;
-}
-
 int
 compareDatum(const Datum &a, const Datum &b)
 {

@@ -51,12 +51,6 @@ class Schema
     /** Tuple length in bytes (8-byte aligned). */
     std::size_t tupleLen() const { return tupleLen_; }
 
-    /**
-     * Layout for a join result: the columns of @p left then @p right,
-     * names prefixed to stay unique.
-     */
-    static Schema concat(const Schema &left, const Schema &right);
-
   private:
     std::vector<Attribute> attrs_;
     std::size_t rawLen_ = 0;   ///< packed length before final padding

@@ -18,6 +18,7 @@ benchMain(const std::string &bench_name, int argc, char **argv,
         sim::MachineSpec spec = sim::loadSpec(opts.machine);
         BenchContext ctx{opts, spec, ObsSession(bench_name, opts,
                                                 spec.config)};
+        ctx.session.checkPlacementFits(spec.config.nprocs);
         return body(ctx);
     });
 }

@@ -77,6 +77,9 @@ guardedMain(const std::string &bench_name, int argc, char **argv,
 {
     try {
         return body(argc, argv);
+    } catch (const BadFlag &e) {
+        reportError(bench_name, "bad_flag", e.what(), nullptr);
+        return kBadFlagExitCode;
     } catch (const sim::SimError &e) {
         reportError(bench_name, "sim_error", e.what(), &e.dump());
     } catch (const db::QueryAbort &e) {

@@ -6,7 +6,8 @@
  * deadlock) or any other exception escaping the body is turned into a
  * structured error JSON on stderr and exit code kErrorExitCode (3) —
  * never a core dump. Exit codes: 0 success, 1 output-file failure,
- * 2 bad flags (BenchOptions::parse), 3 simulator/DB error.
+ * 2 bad flags (BenchOptions::parse, or a BadFlag thrown before the
+ * bench prints), 3 simulator/DB error.
  *
  * retryOnAbort is the bounded retry path for db::QueryAbort: a query
  * that aborts (lock conflict, or a FaultPlan-injected abort) backs off
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 #include "db/common.hh"
@@ -34,6 +36,18 @@ class Registry;
 namespace harness {
 
 constexpr int kErrorExitCode = 3;
+constexpr int kBadFlagExitCode = 2;
+
+/**
+ * A flag value that parses but that this bench cannot run with, such as
+ * a --placement node its smallest machine lacks. guardedMain reports it
+ * as error "bad_flag" and exits kBadFlagExitCode.
+ */
+class BadFlag : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 struct RetryPolicy
 {
@@ -103,7 +117,8 @@ retryOnAbort(const RetryPolicy &policy, Fn &&fn,
  * Run @p body(argc, argv) under the common catch-and-report guard.
  * Returns the body's exit code, or kErrorExitCode after printing a
  * structured error JSON to stderr for sim::SimError (with its machine
- * dump), db::QueryAbort, or any std::exception.
+ * dump), db::QueryAbort, or any std::exception; kBadFlagExitCode after
+ * the same JSON for a BadFlag.
  */
 int guardedMain(const std::string &bench_name, int argc, char **argv,
                 const std::function<int(int, char **)> &body);

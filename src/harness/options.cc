@@ -377,6 +377,18 @@ ObsSession::ObsSession(std::string bench_name, BenchOptions opts,
 }
 
 void
+ObsSession::checkPlacementFits(unsigned smallest_nprocs) const
+{
+    const sim::ProcId node = opts_.placement.affinityNode();
+    if (node < smallest_nprocs)
+        return;
+    throw BadFlag("--placement " + opts_.placement.str() + ": node " +
+                  std::to_string(node) + " does not exist on the " +
+                  std::to_string(smallest_nprocs) +
+                  "-processor machine this bench builds");
+}
+
+void
 ObsSession::wireMemprof(const sim::MachineConfig &cfg,
                         const db::Catalog *catalog)
 {

@@ -221,6 +221,15 @@ class ObsSession
     void setDatabase(const sim::AddressSpace &space) { space_ = &space; }
 
     /**
+     * Throw BadFlag unless --placement fits a machine of
+     * @p smallest_nprocs processors: a class-affinity node must exist
+     * on every machine the bench builds. benchMain checks the --machine
+     * config; a bench that also builds smaller machines calls this with
+     * its smallest before it prints anything.
+     */
+    void checkPlacementFits(unsigned smallest_nprocs) const;
+
+    /**
      * Everything wired up for one runCold/runSequence call: sampler,
      * timeline, a fresh registry slot (when --json), the checker and
      * fault plan, the --placement recipe each machine builds its own

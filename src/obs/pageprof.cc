@@ -30,16 +30,6 @@ PageProfile::addTraces(const std::vector<const sim::TraceStream *> &traces)
     }
 }
 
-std::vector<sim::PageAccessCounts>
-PageProfile::toCounts() const
-{
-    std::vector<sim::PageAccessCounts> out;
-    out.reserve(counts_.size());
-    for (const auto &[page, row] : counts_)
-        out.push_back({page, row});
-    return out;
-}
-
 Json
 PageProfile::toJson() const
 {

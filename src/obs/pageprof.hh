@@ -50,9 +50,6 @@ class PageProfile
 
     std::size_t pageBytes() const { return pageBytes_; }
 
-    /** The histogram in the profile policy's input form. */
-    std::vector<sim::PageAccessCounts> toCounts() const;
-
     /**
      * {"page_bytes": N, "pages": [{"page": addr, "counts": [..]}, ...]},
      * pages sorted by address — byte-stable for identical inputs.

@@ -21,9 +21,6 @@
 #define DSS_OBS_SAMPLER_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/json.hh"
@@ -31,8 +28,6 @@
 
 namespace dss {
 namespace obs {
-
-class Registry;
 
 /** Per-processor counter deltas over one epoch. */
 struct EpochSample
@@ -42,16 +37,6 @@ struct EpochSample
     sim::Cycles end = 0;     ///< epoch end (exclusive)
     /** Delta of each processor's cumulative stats over [start, end). */
     std::vector<sim::ProcStats> procs;
-    /**
-     * Registry-counter deltas over the epoch (attachRegistry only):
-     * non-zero deltas, sorted by name. Counters that first appear
-     * mid-run reconcile against a zero baseline rather than being
-     * dropped.
-     */
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    /** Registry size when the sample was emitted (attachRegistry only);
-     * growth between samples flags late-registered counters. */
-    std::size_t registrySize = 0;
 };
 
 class Sampler
@@ -61,17 +46,6 @@ class Sampler
     explicit Sampler(sim::Cycles epoch_cycles);
 
     sim::Cycles epochCycles() const { return epochCycles_; }
-
-    /**
-     * Also delta-sample every *counter* of @p reg at each epoch (gauges
-     * are point-in-time and excluded). The counter set is re-enumerated
-     * and its size snapshotted per epoch, so counters registered after
-     * the first epoch tick (e.g. lazily-created per-proc counters) are
-     * reconciled against a zero baseline instead of being silently
-     * dropped. @p reg is borrowed and must outlive the sampling; pass
-     * nullptr to detach.
-     */
-    void attachRegistry(const Registry *reg);
 
     /**
      * Machine interface: start observing a run of @p nprocs processors.
@@ -110,13 +84,6 @@ class Sampler
     sim::ProcStats runTotal(unsigned run, std::size_t p) const;
 
     /**
-     * Sum of all registry-counter deltas recorded for @p name in run
-     * @p run — equals the counter's end-of-run value minus its value at
-     * beginRun (zero for a counter registered mid-run), by construction.
-     */
-    std::uint64_t counterTotal(unsigned run, const std::string &name) const;
-
-    /**
      * Serialize the series: per sample, run/start/end plus per-processor
      * busy/memStall/syncStall and non-zero per-class L1/L2 miss deltas.
      */
@@ -133,11 +100,6 @@ class Sampler
     sim::Cycles nextBoundary_ = 0;
     std::vector<sim::ProcStats> last_; ///< snapshot at epochStart_
     std::vector<EpochSample> samples_;
-    const Registry *registry_ = nullptr; ///< optional, borrowed
-    /** Counter values at epochStart_ (attachRegistry only). Keyed by
-     * name: a name absent here but present in the registry was
-     * registered inside the epoch and gets a zero baseline. */
-    std::map<std::string, std::uint64_t> lastCounters_;
 };
 
 } // namespace obs

@@ -47,22 +47,6 @@ TraceCache::lookup(const Key &key) const
     return it == entries_.end() ? nullptr : &it->second.stream;
 }
 
-std::uint64_t
-TraceCache::contentHashOf(const Key &key) const
-{
-    const sim::TraceStream *s = lookup(key);
-    return s ? s->contentHash() : 0;
-}
-
-void
-TraceCache::clear()
-{
-    entries_.clear();
-    lru_.clear();
-    stats_.entries = 0;
-    stats_.traceEntries = 0;
-}
-
 void
 TraceCache::registerStats(obs::Registry &reg,
                           const std::string &prefix) const
@@ -77,32 +61,6 @@ TraceCache::registerStats(obs::Registry &reg,
                    [this] { return stats_.traceEntries; });
     reg.addCounter(obs::metricName(prefix, "evictions"),
                    [this] { return stats_.evictions; });
-}
-
-obs::Json
-TraceCache::toJson() const
-{
-    obs::Json j = obs::Json::object();
-    j["hits"] = obs::Json(stats_.hits);
-    j["misses"] = obs::Json(stats_.misses);
-    j["entries"] = obs::Json(stats_.entries);
-    j["trace_entries"] = obs::Json(stats_.traceEntries);
-    j["evictions"] = obs::Json(stats_.evictions);
-    if (capacity_ > 0)
-        j["capacity"] = obs::Json(capacity_);
-    obs::Json arr = obs::Json::array();
-    for (const auto &kv : entries_) {
-        obs::Json e = obs::Json::object();
-        e["query"] = obs::Json(tpcd::queryName(kv.first.query));
-        e["param_seed"] = obs::Json(kv.first.paramSeed);
-        e["proc"] = obs::Json(static_cast<unsigned>(kv.first.proc));
-        e["entries"] = obs::Json(
-            static_cast<std::uint64_t>(kv.second.stream.entries().size()));
-        e["hash"] = obs::Json(kv.second.stream.contentHash());
-        arr.push(std::move(e));
-    }
-    j["stored"] = std::move(arr);
-    return j;
 }
 
 } // namespace sched

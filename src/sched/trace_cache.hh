@@ -13,10 +13,9 @@
  * and replay the cached stream for every later instance, with
  * bit-identical simulation results (test_sched.cc proves this).
  *
- * The cache is keyed by the capture arguments and additionally records a
- * FNV-1a content hash of each stored stream (TraceStream::contentHash) so
- * reports — and the purity regression test — can verify that a re-capture
- * of the same key reproduces the same bytes.
+ * The cache is keyed by the capture arguments. The purity regression
+ * test compares a stored stream's FNV-1a content hash
+ * (TraceStream::contentHash) with a re-capture of the same key.
  *
  * Capacity: by default the cache grows without bound. A bounded cache
  * (--trace-cache=N) evicts the least-recently-fetched entry once N keys
@@ -34,7 +33,6 @@
 #include <map>
 #include <string>
 
-#include "obs/json.hh"
 #include "sim/trace.hh"
 #include "tpcd/queries.hh"
 
@@ -99,18 +97,9 @@ class TraceCache
 
     const Stats &stats() const { return stats_; }
 
-    /** FNV-1a content hash of the stored stream; 0 if absent. */
-    std::uint64_t contentHashOf(const Key &key) const;
-
-    /** Drop every entry; hit/miss history is kept. */
-    void clear();
-
     /** Export cache.{hits,misses,entries,trace_entries,evictions}. */
     void registerStats(obs::Registry &reg,
                        const std::string &prefix = "cache") const;
-
-    /** Stats plus a per-entry {query, seed, proc, entries, hash} array. */
-    obs::Json toJson() const;
 
   private:
     struct Entry

@@ -5,8 +5,9 @@
  * The directory tracks, per secondary-cache line, whether memory holds the
  * only copy (Uncached), one or more caches hold clean copies (Shared), or a
  * single cache holds a dirty copy (Dirty). The home node of a line is
- * determined by its 8 KB page: shared pages are interleaved round-robin
- * across the nodes; private pages are homed at their owning node.
+ * the home of its page under the attached PlacementPolicy (by default
+ * shared pages interleave round-robin across the nodes and private pages
+ * are homed at their owning node).
  *
  * Latency mirrors the paper's baseline: a miss satisfied by local memory
  * costs 80 cycles round trip; by a remote home or a dirty remote owner in a
@@ -19,7 +20,6 @@
 #ifndef DSS_SIM_DIRECTORY_HH
 #define DSS_SIM_DIRECTORY_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -74,45 +74,21 @@ class Directory
     /**
      * @param nnodes Number of nodes (processor + memory each).
      * @param line_bytes Coherence granularity (the L2 line size).
-     * @param page_bytes Interleaving granularity for home assignment.
-     * @param private_base Addresses at or above this are private.
-     * @param private_stride Private address-space stride per node.
+     * @param placement Page-placement policy that homes every line;
+     *        borrowed, must outlive the directory (or be replaced by
+     *        setPlacement first).
      */
     Directory(unsigned nnodes, std::size_t line_bytes,
-              std::size_t page_bytes, Addr private_base,
-              Addr private_stride, const LatencyConfig &lat);
+              const PlacementPolicy &placement, const LatencyConfig &lat);
 
-    /**
-     * Home node of the line containing @p addr: delegated to the
-     * attached PlacementPolicy (sim/placement.hh). Without one — a
-     * standalone Directory in unit tests or microbenches — the
-     * historical hardwired rule applies: shared pages interleave
-     * round-robin, private pages are homed at their owning node.
-     */
-    ProcId
-    homeOf(Addr addr) const
+    /** Home node of the line containing @p addr (sim/placement.hh). */
+    ProcId homeOf(Addr addr) const { return placement_->homeOf(addr); }
+
+    /** Re-point homeOf at @p placement (borrowed, as in the constructor). */
+    void setPlacement(const PlacementPolicy &placement)
     {
-        if (placement_)
-            return placement_->homeOf(addr);
-        if (addr >= privateBase_) {
-            auto node = static_cast<ProcId>((addr - privateBase_) /
-                                            privateStride_);
-            return std::min<ProcId>(node, nnodes_ - 1);
-        }
-        return static_cast<ProcId>((addr / pageBytes_) % nnodes_);
+        placement_ = &placement;
     }
-
-    /**
-     * Attach the page-placement policy consulted by homeOf. Borrowed;
-     * pass nullptr to fall back to the hardwired interleave rule. The
-     * policy's geometry must match this directory's page/private layout.
-     */
-    void setPlacement(const PlacementPolicy *placement)
-    {
-        placement_ = placement;
-    }
-
-    const PlacementPolicy *placement() const { return placement_; }
 
     /** Directory entry for the line containing @p addr (created lazily). */
     Entry &entry(Addr addr);
@@ -225,12 +201,9 @@ class Directory
     void registerStats(obs::Registry &reg, const std::string &prefix) const;
 
   private:
-    const PlacementPolicy *placement_ = nullptr; ///< borrowed, optional
+    const PlacementPolicy *placement_; ///< borrowed, never null
     unsigned nnodes_;
     std::size_t lineBytes_;
-    std::size_t pageBytes_;
-    Addr privateBase_;
-    Addr privateStride_;
     LatencyConfig lat_;
     std::unordered_map<Addr, Entry> entries_;
     std::vector<Cycles> controllerFree_; // per home node

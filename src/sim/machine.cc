@@ -79,9 +79,8 @@ MachineConfig::withCacheSizes(std::size_t l1_bytes,
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_((validateMachineConfig(cfg), cfg)),
-      dir_(cfg.nprocs, cfg.coherent().lineBytes, cfg.pageBytes,
-           AddressSpace::kPrivateBase, AddressSpace::kPrivateStride,
-           cfg.lat)
+      placement_(PlacementPolicy::interleave(placementGeometry())),
+      dir_(cfg.nprocs, cfg.coherent().lineBytes, *placement_, cfg.lat)
 {
     // Hit round trips, adjusted for the L1-line transfer time relative
     // to the baseline 32 B L1 line (critical-word-first: short lines are
@@ -100,7 +99,6 @@ Machine::Machine(const MachineConfig &cfg)
     nodes_.reserve(cfg_.nprocs);
     for (unsigned p = 0; p < cfg_.nprocs; ++p)
         nodes_.push_back(std::make_unique<Node>(cfg_));
-    setPlacement(PlacementPolicy::interleave(placementGeometry()));
 }
 
 PlacementPolicy::Geometry
@@ -119,7 +117,7 @@ Machine::setPlacement(std::unique_ptr<PlacementPolicy> placement)
         throw std::invalid_argument(
             "machine: placement policy built for another geometry");
     placement_ = std::move(placement);
-    dir_.setPlacement(placement_.get());
+    dir_.setPlacement(*placement_);
 }
 
 void

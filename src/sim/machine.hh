@@ -169,12 +169,12 @@ class Machine
     /**
      * Replace the machine's page-placement policy (sim/placement.hh, the
      * --placement flag). The machine owns exactly one policy: the
-     * constructor builds interleave (bit-identical to the historical
-     * hardwired rule), and this takes ownership of a replacement built
-     * at placementGeometry(). run() calls its beginRun() hook, so
-     * first-touch claims persist across this machine's runs and no
-     * other's. Throws std::invalid_argument for a null policy or one of
-     * another geometry.
+     * constructor builds interleave (the paper's home rule), and this
+     * takes ownership of a replacement built at placementGeometry().
+     * run() calls its beginRun() hook, so first-touch claims persist
+     * across this machine's runs and no other's. Throws
+     * std::invalid_argument for a null policy or one of another
+     * geometry.
      */
     void setPlacement(std::unique_ptr<PlacementPolicy> placement);
 
@@ -463,6 +463,9 @@ class Machine
     std::array<Cycles, kMaxCacheLevels> levelHitLat_ = {};
     Cycles cohHitLat_ = 0;
     std::vector<std::unique_ptr<Node>> nodes_;
+    /** The page-placement policy; never null (interleave by default).
+     * Declared before dir_, which borrows it. */
+    std::unique_ptr<PlacementPolicy> placement_;
     Directory dir_;
     LockTable locks_;
     std::vector<ProcRun> runs_;
@@ -474,8 +477,6 @@ class Machine
     obs::MemProfile *memprof_ = nullptr;
     /** Word-granular sharing tracker; allocated iff memprof_ is set. */
     std::unique_ptr<SharingTracker> sharing_;
-    /** The page-placement policy; never null (interleave by default). */
-    std::unique_ptr<PlacementPolicy> placement_;
     /** Metalock word -> cycle its current hold began (timeline only). */
     std::unordered_map<Addr, Cycles> holdStart_;
 

@@ -80,6 +80,14 @@ PlacementSpec::help()
            "profile:<histogram.json>";
 }
 
+ProcId
+PlacementSpec::affinityNode() const
+{
+    if (kind != PlacementKind::ClassAffinity || arg.empty())
+        return 0;
+    return static_cast<ProcId>(std::strtoul(arg.c_str(), nullptr, 10));
+}
+
 std::string
 PlacementSpec::str() const
 {
@@ -182,11 +190,7 @@ PlacementPolicy::make(const PlacementSpec &spec, const Geometry &g,
             throw std::runtime_error(
                 "placement: class-affinity needs the traced database's "
                 "address space");
-        ProcId node = 0;
-        if (!spec.arg.empty())
-            node = static_cast<ProcId>(
-                std::strtoul(spec.arg.c_str(), nullptr, 10));
-        return classAffinity(g, *space, node);
+        return classAffinity(g, *space, spec.affinityNode());
       }
       case PlacementKind::Profile:
         if (!hist)
@@ -243,22 +247,6 @@ PlacementPolicy::ensureCovered(std::size_t page_idx)
     resolved_.resize(page_idx + 1, 0);
     for (std::size_t i = old; i < table_.size(); ++i)
         table_[i] = ruleHome(i);
-}
-
-void
-PlacementPolicy::pinPage(Addr addr, ProcId home)
-{
-    if (addr >= g_.privateBase || home >= g_.nnodes)
-        return; // private pages are always owner-homed
-    const std::size_t idx = pageIndexOf(addr);
-    if (idx >= kMaxTablePages)
-        return;
-    ensureCovered(idx);
-    table_[idx] = home;
-    if (!resolved_[idx]) {
-        resolved_[idx] = 1;
-        ++claimed_;
-    }
 }
 
 void

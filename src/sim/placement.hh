@@ -5,13 +5,11 @@
  * The paper's headline cost is remote memory: 2-hop (249-cycle) and
  * 3-hop (351-cycle) transactions dominate stall time, and its
  * conclusions name data placement as the lever a CC-NUMA system has
- * against them. The home node of every page used to be hardwired inside
- * Directory::homeOf (shared pages interleaved round-robin, private pages
- * owner-homed); this subsystem lifts that decision into a policy object
- * the Directory merely consults:
+ * against them. A policy object decides the home node of every page;
+ * Directory::homeOf only consults it, and every Machine owns one:
  *
- *   interleave       page i -> node i mod N (bit-identical to the
- *                    historical hardwired rule; the default)
+ *   interleave       page i -> node i mod N, private pages at their
+ *                    owner (the paper's machine, Section 2; the default)
  *   first-touch      a shared page is homed at the first processor to
  *                    reference it, resolved at trace position (see
  *                    beginRun) so the outcome is a pure function of
@@ -24,12 +22,12 @@
  *                    majority accessor
  *
  * Every policy resolves to the same representation: a flat page-index ->
- * home-node table (precomputed at construction; extended per run only by
- * first-touch), so the homeOf hot path is a single bounds-checked vector
- * load — with a shift/modulo fallback for pages past the table — instead
- * of the div/mod chain the Directory used to evaluate per access. Private addresses are owner-homed under
- * every policy (the paper's OS already does per-process local
- * allocation; the policies only govern the shared segment).
+ * home-node table (class-affinity and profile fill theirs at
+ * construction, first-touch extends its table per run, interleave keeps
+ * none), so homeOf is a bounds-checked vector load, with the policy's
+ * rule computed on the fly for pages past the table. Private addresses are owner-homed under every policy (the
+ * paper's OS already does per-process local allocation; the policies
+ * only govern the shared segment).
  */
 
 #ifndef DSS_SIM_PLACEMENT_HH
@@ -79,6 +77,10 @@ struct PlacementSpec
 
     /** Round-trip back to "<name>[:arg]". */
     std::string str() const;
+
+    /** class-affinity's metadata home node (0 unless given); 0 for the
+     * other kinds. */
+    ProcId affinityNode() const;
 };
 
 /** One page's per-processor access counts (the profile policy's input). */
@@ -172,13 +174,6 @@ class PlacementPolicy
      */
     void beginRun(const std::vector<const TraceStream *> &traces);
 
-    /**
-     * Explicit placement hint: pin the page containing @p addr to
-     * @p home, overriding the policy rule (and, for first-touch, the
-     * future claim). The db layer's allocation-time hints feed this.
-     */
-    void pinPage(Addr addr, ProcId home);
-
     /** Pages currently covered by the flat table (tests/diagnostics). */
     std::size_t coveredPages() const { return table_.size(); }
 
@@ -208,7 +203,7 @@ class PlacementPolicy
     int privShift_ = -1; ///< log2(privateStride) when a power of two
 
     std::vector<ProcId> table_; ///< page index -> home node
-    /** first-touch: 1 = table_[i] is a claim/pin, not the fallback rule */
+    /** first-touch: 1 = table_[i] is a claim, not the fallback rule */
     std::vector<std::uint8_t> resolved_;
     std::size_t claimed_ = 0;
 

@@ -14,11 +14,19 @@ namespace {
 
 using namespace dss::sim;
 
+/** The default interleave policy of a 4-node baseline machine. */
+const PlacementPolicy &
+interleave4()
+{
+    static const auto policy = PlacementPolicy::interleave(
+        {4, 8192, AddressSpace::kPrivateBase, AddressSpace::kPrivateStride});
+    return *policy;
+}
+
 Directory
 makeDir(std::size_t line = 64)
 {
-    return Directory(4, line, 8192, AddressSpace::kPrivateBase,
-                     AddressSpace::kPrivateStride, LatencyConfig{});
+    return Directory(4, line, interleave4(), LatencyConfig{});
 }
 
 TEST(Directory, SharedPagesInterleaveRoundRobin)

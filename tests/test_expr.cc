@@ -140,18 +140,6 @@ TEST(Expr, RevenueExpression)
     EXPECT_DOUBLE_EQ(datumReal(rev->eval(f.row())), 2.25);
 }
 
-TEST(Expr, RangeHalfOpen)
-{
-    ExprFixture f;
-    // d = 700: [700, 800) contains, [600, 700) does not.
-    EXPECT_TRUE(rangeHalfOpen(attr(2), Datum{std::int64_t{700}},
-                              Datum{std::int64_t{800}})
-                    ->evalBool(f.row()));
-    EXPECT_FALSE(rangeHalfOpen(attr(2), Datum{std::int64_t{600}},
-                               Datum{std::int64_t{700}})
-                     ->evalBool(f.row()));
-}
-
 TEST(Expr, AndAllChainsTerms)
 {
     ExprFixture f;

@@ -110,6 +110,15 @@ TEST(GuardedMain, QueryAbortReportsAndExitsThree)
     EXPECT_EQ(rc, harness::kErrorExitCode);
 }
 
+TEST(GuardedMain, BadFlagReportsAndExitsTwo)
+{
+    const int rc = harness::guardedMain(
+        "t", 0, nullptr, [](int, char **) -> int {
+            throw harness::BadFlag("--placement class-affinity:3: no node 3");
+        });
+    EXPECT_EQ(rc, harness::kBadFlagExitCode);
+}
+
 TEST(GuardedMain, GenericExceptionReportsAndExitsThree)
 {
     const int rc = harness::guardedMain(

@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the pluggable NUMA page-placement subsystem
- * (sim/placement.hh) and its wiring: the interleave policy must be
- * bit-identical to the historical hardwired Directory rule, first-touch
+ * (sim/placement.hh) and its wiring: the interleave policy must match
+ * the paper's div/mod home rule, first-touch
  * must resolve as a pure function of the traces, the
  * class-affinity and profile policies must follow their inputs (arena
  * class map / access histogram), and the per-run statistics reset the
  * placement work exposed must hold.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -18,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "db/bufmgr.hh"
 #include "harness/options.hh"
 #include "harness/runner.hh"
 #include "harness/workload.hh"
@@ -107,13 +107,17 @@ TEST(PlacementSpec, RejectsMalformedValues)
 
 TEST(Placement, InterleaveMatchesLegacyRuleEverywhere)
 {
-    const sim::LatencyConfig lat;
-    // A Directory with no policy attached falls back to the historical
-    // hardwired formula — the exact code every access ran before the
-    // placement layer existed.
-    sim::Directory legacy(4, 64, 8192, AddressSpace::kPrivateBase,
-                          AddressSpace::kPrivateStride, lat);
-    ASSERT_EQ(legacy.placement(), nullptr);
+    // The paper's home rule as a plain div/mod formula: shared pages
+    // interleave round-robin, private pages are homed at their owning
+    // node (clamped to the last node past its stride).
+    const auto legacy = [](Addr a) {
+        if (a >= AddressSpace::kPrivateBase) {
+            const Addr node = (a - AddressSpace::kPrivateBase) /
+                              AddressSpace::kPrivateStride;
+            return static_cast<ProcId>(std::min<Addr>(node, 3));
+        }
+        return static_cast<ProcId>((a / 8192) % 4);
+    };
     auto policy = PlacementPolicy::interleave(baselineGeometry());
 
     Lcg rng;
@@ -121,7 +125,7 @@ TEST(Placement, InterleaveMatchesLegacyRuleEverywhere)
         // Mix shared addresses (below kPrivateBase) with private ones,
         // including far past the last private node's stride.
         Addr a = rng.next() % (AddressSpace::kPrivateBase * 2);
-        EXPECT_EQ(legacy.homeOf(a), policy->homeOf(a)) << "addr " << a;
+        EXPECT_EQ(legacy(a), policy->homeOf(a)) << "addr " << a;
     }
     // The boundaries the two code paths could disagree on.
     for (Addr a : {Addr{0}, Addr{8191}, Addr{8192},
@@ -129,7 +133,7 @@ TEST(Placement, InterleaveMatchesLegacyRuleEverywhere)
                    AddressSpace::kPrivateBase,
                    AddressSpace::kPrivateBase +
                        AddressSpace::kPrivateStride * 7})
-        EXPECT_EQ(legacy.homeOf(a), policy->homeOf(a)) << "addr " << a;
+        EXPECT_EQ(legacy(a), policy->homeOf(a)) << "addr " << a;
 }
 
 TEST(Placement, InterleaveHandlesNonPowerOfTwoGeometry)
@@ -142,31 +146,6 @@ TEST(Placement, InterleaveHandlesNonPowerOfTwoGeometry)
     for (Addr a = 0; a < 30 * g.pageBytes; a += 1021)
         EXPECT_EQ(policy->homeOf(a),
                   static_cast<ProcId>((a / g.pageBytes) % g.nnodes));
-}
-
-// --- pinPage -------------------------------------------------------------
-
-TEST(Placement, PinPageOverridesTheRule)
-{
-    auto policy = PlacementPolicy::interleave(baselineGeometry());
-    const Addr page3 = 3 * 8192;
-    ASSERT_EQ(policy->homeOf(page3), 3u);
-    policy->pinPage(page3 + 100, 1);
-    EXPECT_EQ(policy->homeOf(page3), 1u);
-    EXPECT_EQ(policy->homeOf(page3 + 8191), 1u);
-    // Neighbours keep the rule.
-    EXPECT_EQ(policy->homeOf(page3 - 1), 2u);
-    EXPECT_EQ(policy->homeOf(page3 + 8192), 0u);
-}
-
-TEST(Placement, PinPageIgnoresPrivateAndBogusTargets)
-{
-    auto policy = PlacementPolicy::interleave(baselineGeometry());
-    policy->pinPage(AddressSpace::kPrivateBase + 64, 3); // private
-    EXPECT_EQ(policy->claimedPages(), 0u);
-    policy->pinPage(8192, 99); // home out of range
-    EXPECT_EQ(policy->claimedPages(), 0u);
-    EXPECT_EQ(policy->homeOf(8192), 1u);
 }
 
 // --- first-touch ---------------------------------------------------------
@@ -317,32 +296,6 @@ TEST(Placement, ClassAffinityRejectsOutOfRangeNode)
     EXPECT_THROW(
         PlacementPolicy::classAffinity(baselineGeometry(), space, 4),
         std::invalid_argument);
-}
-
-TEST(Placement, BufferManagerHintsCoverPagesAndFeedPinPage)
-{
-    // The db layer records one placement hint per 8 KB buffer block; a
-    // harness can replay explicit homes through pinPage. Check the hints
-    // of a real TPC-D database line up with pages and carry classes, and
-    // that feeding a hint through pinPage overrides the policy.
-    harness::Workload wl(tpcd::ScaleConfig::tiny(), 4);
-    db::BufferManager &bm = wl.db().bufmgr();
-    const auto &hints = bm.placementHints();
-    ASSERT_EQ(hints.size(), bm.numBlocks());
-    for (const db::BufferManager::PlacementHint &h : hints) {
-        EXPECT_EQ(h.page % 8192, 0u) << "hint not page-aligned";
-        EXPECT_EQ(h.home, db::BufferManager::kNoHomeHint);
-    }
-
-    bm.hintHome(hints.front().page, 3);
-    EXPECT_EQ(bm.placementHints().front().home, 3u);
-    EXPECT_THROW(bm.hintHome(0xdead0000, 1), std::runtime_error);
-
-    auto policy = PlacementPolicy::interleave(baselineGeometry());
-    for (const db::BufferManager::PlacementHint &h : bm.placementHints())
-        if (h.home != db::BufferManager::kNoHomeHint)
-            policy->pinPage(h.page, h.home);
-    EXPECT_EQ(policy->homeOf(hints.front().page), 3u);
 }
 
 // --- profile -------------------------------------------------------------
@@ -540,6 +493,26 @@ TEST(Placement, MakePlacementBuildsEachPolicyAndValidatesInputs)
     harness::BenchOptions opts;
     opts.placement = *PlacementSpec::parse("profile:/nonexistent.json");
     EXPECT_THROW(harness::ObsSession("test", opts, cfg), std::runtime_error);
+}
+
+TEST(Placement, SessionRefusesANodeTheSmallestMachineLacks)
+{
+    const sim::MachineConfig cfg = sim::MachineConfig::baseline();
+    harness::BenchOptions opts;
+    opts.placement = *PlacementSpec::parse("class-affinity:1");
+    const harness::ObsSession session("test", opts, cfg);
+    EXPECT_THROW(session.checkPlacementFits(1), harness::BadFlag);
+    EXPECT_NO_THROW(session.checkPlacementFits(2));
+    EXPECT_EQ(opts.placement.affinityNode(), 1u);
+    EXPECT_EQ(PlacementSpec::parse("class-affinity")->affinityNode(), 0u);
+
+    // Node 0 and the other kinds fit every machine.
+    for (const char *text : {"class-affinity:0", "interleave", "first-touch"}) {
+        opts.placement = *PlacementSpec::parse(text);
+        EXPECT_NO_THROW(
+            harness::ObsSession("test", opts, cfg).checkPlacementFits(1))
+            << text;
+    }
 }
 
 TEST(Placement, WiredPolicyMatchesEachMachineGeometry)

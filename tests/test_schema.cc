@@ -78,18 +78,6 @@ TEST(Schema, CharRequiresLength)
     EXPECT_THROW(s.add("bad", AttrType::Char), std::invalid_argument);
 }
 
-TEST(Schema, ConcatKeepsNamesAndDisambiguates)
-{
-    Schema a, b;
-    a.add("k", AttrType::Int32).add("x", AttrType::Double);
-    b.add("k", AttrType::Int32).add("y", AttrType::Char, 4);
-    Schema c = Schema::concat(a, b);
-    EXPECT_EQ(c.numAttrs(), 4u);
-    EXPECT_EQ(c.indexOf("k"), 0u);
-    EXPECT_EQ(c.indexOf("k_r"), 2u);
-    EXPECT_EQ(c.indexOf("y"), 3u);
-}
-
 TEST(Datum, CompareInts)
 {
     EXPECT_LT(compareDatum(Datum{std::int64_t{1}}, Datum{std::int64_t{2}}),
